@@ -14,7 +14,7 @@ import numpy as np
 
 from .encodings import EncodingEnsemble, lift_ensemble, weyl_set
 from .errors import DimensionMismatch, NoStates
-from .qstate import BipartiteState, DensityMatrix, von_neumann_entropy
+from .qstate import BipartiteState, DensityMatrix, _spectrum_entropy, von_neumann_entropy
 
 RELATIVE_ENTROPY_CAP = 50.0
 _SUPPORT_TOL = 1e-12
@@ -69,6 +69,32 @@ def holevo_chi(e: EncodingEnsemble, rho: DensityMatrix) -> float:
     return max(chi, 0.0)
 
 
+def _divergences(
+    flat_t: np.ndarray, entropies: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """D(rho_a || sigma) in bits for every a, from one eigh of sigma.
+
+    flat_t holds each rho_a transposed and flattened, so that row a of
+    flat_t times L.ravel() is Tr rho_a L; entropies holds S(rho_a).  With
+    log2 sigma built on supp sigma, D_a = -S(rho_a) - Tr rho_a log2 sigma.
+    A state with more than 1e-9 of its weight outside supp sigma has
+    infinite divergence, capped at 50 bits as a numerical guard.
+    Returns the divergences and sigma's ascending eigenvalues.
+    """
+    mu, vecs = np.linalg.eigh(sigma)
+    support = mu > _SUPPORT_TOL
+    kept = vecs[:, support]
+    # einsum, not matmul: BLAS work buffers would raise peak memory
+    log_sigma = np.einsum("ik,k,jk->ij", kept, np.log2(mu[support]), kept.conj())
+    div = -entropies - np.real(np.einsum("ak,k->a", flat_t, log_sigma.ravel()))
+    if not support.all():
+        null = vecs[:, ~support]
+        projector = np.einsum("ik,jk->ij", null, null.conj())
+        outside = np.real(np.einsum("ak,k->a", flat_t, projector.ravel()))
+        div[outside > 1e-9] = RELATIVE_ENTROPY_CAP
+    return np.minimum(div, RELATIVE_ENTROPY_CAP), mu
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy D(rho || sigma) in bits.
 
@@ -78,16 +104,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dim {rho.dim} != dim {sigma.dim}")
-    lam = rho.eigenvalues()
-    plus = lam[lam > 0.0]
-    first = float(np.sum(plus * np.log2(plus)))
-    mu, vecs = np.linalg.eigh(sigma.matrix)
-    weights = np.real(np.einsum("ji,jk,ki->i", vecs.conj(), rho.matrix, vecs))
-    support = mu > _SUPPORT_TOL
-    if float(np.sum(np.abs(weights[~support]))) > 1e-9:
-        return RELATIVE_ENTROPY_CAP
-    second = float(np.sum(weights[support] * np.log2(mu[support])))
-    return min(first - second, RELATIVE_ENTROPY_CAP)
+    flat_t = rho.matrix.T.reshape(1, -1)
+    div, _ = _divergences(flat_t, np.array([von_neumann_entropy(rho)]), sigma.matrix)
+    return float(div[0])
 
 
 def optimize_prior(
@@ -95,12 +114,15 @@ def optimize_prior(
 ) -> CapacityReport:
     """Maximize chi(pi) = S(sum pi_a rho_a) - sum pi_a S(rho_a) over priors.
 
-    Multiplicative fixed point pi'_a ~ pi_a 2^{D(rho_a || avg)} starting
-    from the uniform prior.  Stops when the capacity gap
-    max_a D(rho_a || avg) - chi drops below tol, which certifies chi
-    within tol of the optimum; states leaving the optimal support have
-    D below chi and do not block termination.  Non-convergence within
-    max_iter is reported via converged=False, never an exception.
+    Quantum Blahut-Arimoto step pi'_a ~ pi_a 2^{D(rho_a || avg)} starting
+    from the uniform prior.  The entropies S(rho_a) are computed once;
+    each iteration then takes one eigendecomposition of the average
+    state, which gives log2 avg, every divergence and S(avg).  Stops
+    when the capacity gap max_a D(rho_a || avg) - chi drops below tol,
+    which certifies chi within tol of the optimum; states leaving the
+    optimal support have D below chi and do not block termination.
+    Non-convergence within max_iter is reported via converged=False,
+    never an exception.
     """
     if not states:
         raise NoStates("optimize_prior needs at least one state")
@@ -109,6 +131,7 @@ def optimize_prior(
         raise DimensionMismatch("signal states have mixed dimensions")
     n = len(states)
     mats = np.stack([s.matrix for s in states])
+    flat_t = mats.transpose(0, 2, 1).reshape(n, -1)
     entropies = np.array([von_neumann_entropy(s) for s in states])
 
     pi = np.full(n, 1.0 / n)
@@ -116,12 +139,11 @@ def optimize_prior(
     converged = False
     iterations = 0
     chi = 0.0
-    avg = DensityMatrix(np.einsum("a,aij->ij", pi, mats))
+    avg = np.einsum("a,aij->ij", pi, mats)
     for it in range(1, max_iter + 1):
         iterations = it
-        avg = DensityMatrix(np.einsum("a,aij->ij", pi, mats))
-        divergences = np.array([relative_entropy(s, avg) for s in states])
-        chi = max(von_neumann_entropy(avg) - float(pi @ entropies), 0.0)
+        divergences, mu = _divergences(flat_t, entropies, avg)
+        chi = max(_spectrum_entropy(np.clip(mu, 0.0, 1.0)) - float(pi @ entropies), 0.0)
         trace.append(chi)
         gap = float(divergences.max()) - chi
         if gap < tol:
@@ -131,7 +153,8 @@ def optimize_prior(
             break
         weights = pi * np.exp2(divergences - divergences.max())
         pi = weights / weights.sum()
-    return CapacityReport(chi, pi, avg, iterations, converged, tuple(trace))
+        avg = np.einsum("a,aij->ij", pi, mats)
+    return CapacityReport(chi, pi, DensityMatrix(avg), iterations, converged, tuple(trace))
 
 
 def normal_capacity(rho: DensityMatrix) -> float:
@@ -143,7 +166,7 @@ def dense_capacity(s: BipartiteState, direction: str = "a2b") -> float:
     """Dense-coding capacity of a noiseless channel over a shared pair.
 
     a2b: log2 d_A + S(rho_B) - S(rho_AB); b2a swaps the roles.  The two
-    directions differ by S(rho_B) - S(rho_A) in general.
+    directions differ by log2 d_A - log2 d_B + S(rho_B) - S(rho_A).
     """
     direction = direction.lower()
     if direction == "a2b":

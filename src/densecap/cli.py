@@ -50,6 +50,9 @@ from .sampling import (
 )
 
 
+MAX_SWEEP_POINTS = 1_000_000
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
@@ -98,6 +101,16 @@ def _thread_count(n_jobs: int) -> int:
     return max(1, min(limit, n_jobs))
 
 
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except IsADirectoryError:
+        raise ParseError(f"{path} is a directory, not a JSON file") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_state(spec: str) -> DensityMatrix | BipartiteState:
     """Resolve a --state argument: built-in name or JSON file path."""
     if spec == "bell":
@@ -120,12 +133,7 @@ def load_state(spec: str) -> DensityMatrix | BipartiteState:
             return from_bloch(tuple(float(p) for p in parts))
         except ValueError:
             raise ParseError(f"bad bloch components in {spec!r}") from None
-    with open(spec) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{spec}: {exc}") from None
-    return state_from_json(obj)
+    return state_from_json(_load_json(spec))
 
 
 def _as_bipartite(state, dims_flag: str | None) -> BipartiteState:
@@ -165,7 +173,9 @@ def _capacity_row(s: BipartiteState) -> dict:
         "mutual_info": mi,
         "residual_ab": abs((c_ab - c_normal_a) - mi),
         "residual_ba": abs((c_ba - c_normal_b) - mi),
-        "asymmetry_residual": abs((c_ab - c_ba) - (s_b - s_a)),
+        "asymmetry_residual": abs(
+            (c_ab - c_ba) - (math.log2(s.dim_a) - math.log2(s.dim_b) + s_b - s_a)
+        ),
     }
 
 
@@ -177,9 +187,14 @@ def _parse_sweep(spec: str) -> np.ndarray:
         p0, p1, step = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"--sweep needs numbers, got {spec!r}") from None
+    if not all(math.isfinite(x) for x in (p0, p1, step)):
+        raise ParseError(f"--sweep needs finite numbers, got {spec!r}")
     if step <= 0 or p1 < p0:
         raise ParseError(f"--sweep needs p0 <= p1 and step > 0, got {spec!r}")
-    count = int(round((p1 - p0) / step)) + 1
+    # capped before rounding: (p1 - p0) / step can overflow to inf
+    count = int(round(min((p1 - p0) / step, MAX_SWEEP_POINTS))) + 1
+    if count > MAX_SWEEP_POINTS:
+        raise ParseError(f"--sweep {spec!r} has more than {MAX_SWEEP_POINTS:,} points")
     values = p0 + step * np.arange(count)
     return values[values <= p1 + 1e-12]
 
@@ -287,12 +302,7 @@ def cmd_verify(args) -> int:
         )
 
     if args.ensemble:
-        with open(args.ensemble) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.ensemble}: {exc}") from None
-        e = ensemble_from_json(obj)
+        e = ensemble_from_json(_load_json(args.ensemble))
         gram, _ = verify_orthogonality(e)
         record("ensemble_gram", float(np.max(np.abs(gram - np.eye(len(e))))), 1e-10)
         states = [random_density_matrix(e.dim, rng).matrix for _ in range(args.samples)]
@@ -382,11 +392,7 @@ def cmd_simulate(args) -> int:
     if args.protocol == "quantum":
         s = _as_bipartite(load_state(args.state or "bell"), args.dims)
         if args.ensemble:
-            with open(args.ensemble) as fh:
-                try:
-                    e = ensemble_from_json(json.load(fh))
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{args.ensemble}: {exc}") from None
+            e = ensemble_from_json(_load_json(args.ensemble))
         elif s.dim_a == 2:
             e = canonical_qubit_set(OrthonormalFrame.standard())
         else:
@@ -513,6 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ParseError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ shift/clock unitaries, together with their trace-orthogonality checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,12 +147,14 @@ def antipodal_pair(v: BlochVector | tuple[float, float, float]) -> EncodingEnsem
     return EncodingEnsemble(2, (np.eye(2, dtype=complex), u), np.array([0.5, 0.5]))
 
 
+@functools.lru_cache(maxsize=16)
 def gellmann_basis(d: int) -> OperatorBasis:
     """Generalized traceless Hermitian basis rescaled to Tr L_a L_b = d delta_ab.
 
     Ordering: symmetric pairs (j < k) lexicographic, then antisymmetric
     pairs, then diagonal operators.  d = 2 reproduces the Pauli matrices
-    in the order (x, y, z).
+    in the order (x, y, z).  Cached: repeated calls return the same
+    immutable basis.
     """
     if d < 2:
         raise InvalidDimension(f"need d >= 2, got {d}")
@@ -177,11 +180,13 @@ def gellmann_basis(d: int) -> OperatorBasis:
     return OperatorBasis(d, tuple(mats))
 
 
+@functools.lru_cache(maxsize=16)
 def weyl_set(d: int) -> EncodingEnsemble:
     """The d^2 shift/clock unitaries U_(p,q) = X^p Z^q with uniform prior.
 
     X|k> = |k+1 mod d>, Z|k> = w^k |k> with w = exp(2 pi i / d).  The set
-    satisfies Tr U_a^dag U_b = d delta_ab; index a = p * d + q.
+    satisfies Tr U_a^dag U_b = d delta_ab; index a = p * d + q.  Cached:
+    repeated calls return the same immutable ensemble.
     """
     if d < 2:
         raise InvalidDimension(f"need d >= 2, got {d}")

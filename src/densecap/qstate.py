@@ -35,9 +35,10 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 class DensityMatrix:
     """A d x d complex Hermitian positive-semidefinite unit-trace operator.
 
-    Validation happens on construction: Hermiticity and trace to 1e-12,
-    smallest eigenvalue no lower than -1e-10.  Eigenvalues in [-1e-10, 0)
-    are treated as exact zeros downstream; anything lower is rejected.
+    Validation happens on construction: finite entries, Hermiticity and
+    trace to 1e-12, smallest eigenvalue no lower than -1e-10.  Eigenvalues
+    in [-1e-10, 0) are treated as exact zeros downstream; anything lower
+    is rejected.
     """
 
     matrix: np.ndarray
@@ -46,6 +47,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidState(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidState("matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise InvalidState("matrix is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -74,6 +77,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+            raise InvalidState(f"Bloch vector ({self.x}, {self.y}, {self.z}) is not finite")
         if self.norm > 1.0 + 1e-12:
             raise BlochNormExceeded(f"|v| = {self.norm} exceeds 1")
 

@@ -140,7 +140,69 @@ class TestRelativeEntropy:
         assert relative_entropy(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_blahut_arimoto(states, tol: float):
+    """Per-state loop of the optimizer's update, independent of capacity.py.
+
+    Every divergence comes from its own eigendecompositions:
+    D(rho || avg) = sum lam log2 lam - sum_i <v_i|rho|v_i> log2 mu_i.
+    """
+    mats = [s.matrix for s in states]
+    neg_s = [float(np.sum([x * math.log2(x) for x in np.linalg.eigvalsh(m) if x > 0])) for m in mats]
+    pi = np.full(len(mats), 1.0 / len(mats))
+    iterations = 0
+    while True:
+        iterations += 1
+        avg = sum(p * m for p, m in zip(pi, mats))
+        mu, vecs = np.linalg.eigh(avg)
+        div = np.array([
+            first - sum(
+                np.real(vecs[:, i].conj() @ m @ vecs[:, i]) * math.log2(mu[i])
+                for i in range(len(mu)) if mu[i] > 1e-12
+            )
+            for m, first in zip(mats, neg_s)
+        ])
+        chi = -sum(x * math.log2(x) for x in mu if x > 0) + float(pi @ neg_s)
+        if div.max() - chi < tol:
+            return chi, pi, iterations
+        weights = pi * np.exp2(div - div.max())
+        pi = weights / weights.sum()
+
+
 class TestOptimizePrior:
+    @pytest.mark.parametrize("d,n,seed", [(2, 3, 30), (3, 5, 31), (4, 6, 32)])
+    def test_matches_per_state_reference(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        states = [random_density_matrix(d, rng) for _ in range(n)]
+        report = optimize_prior(states)
+        chi, prior, iterations = reference_blahut_arimoto(states, tol=1e-9)
+        assert report.iterations == iterations
+        assert report.chi == pytest.approx(chi, abs=1e-12)
+        assert np.max(np.abs(report.optimal_prior - prior)) < 1e-12
+
+    def test_one_eigendecomposition_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        states = [random_density_matrix(8, rng) for _ in range(12)]
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = optimize_prior(states)
+        assert report.converged and report.iterations > 10
+        assert len(calls) <= report.iterations + len(states) + 1
+
+    def test_rank_deficient_average_state(self):
+        # avg = diag(1/2, 1/2, 0) has a null space, so the support guard runs
+        states = [pure_state(np.array([1.0, 0, 0])), pure_state(np.array([0, 1.0, 0]))]
+        report = optimize_prior(states)
+        assert report.converged
+        assert report.chi == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(report.optimal_prior, [0.5, 0.5], atol=1e-12)
+
     def test_antipodal_pure_states(self):
         states = [from_bloch((0, 0, 1)), from_bloch((0, 0, -1))]
         report = optimize_prior(states)
@@ -270,11 +332,15 @@ class TestIdentities:
 
     def test_asymmetry_relation(self):
         rng = np.random.default_rng(18)
-        for _ in range(40):
-            s = random_bipartite_state((2, 2), rng)
-            lhs = dense_capacity(s, "a2b") - dense_capacity(s, "b2a")
-            rhs = von_neumann_entropy(s.reduced_b) - von_neumann_entropy(s.reduced_a)
-            assert abs(lhs - rhs) < 1e-9
+        for dims in ((2, 2), (2, 3), (3, 2)):
+            for _ in range(40):
+                s = random_bipartite_state(dims, rng)
+                lhs = dense_capacity(s, "a2b") - dense_capacity(s, "b2a")
+                rhs = (
+                    math.log2(dims[0]) - math.log2(dims[1])
+                    + von_neumann_entropy(s.reduced_b) - von_neumann_entropy(s.reduced_a)
+                )
+                assert abs(lhs - rhs) < 1e-9
 
     def test_averaged_state_factorizes(self):
         rng = np.random.default_rng(19)

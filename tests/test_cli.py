@@ -83,6 +83,19 @@ class TestCapacityCommand:
         assert code == 0
         assert payload["dims"] == [2, 2]
 
+    def test_unequal_split_cross_check_passes(self, capsys, tmp_path):
+        from densecap.sampling import random_density_matrix
+
+        path = tmp_path / "rho6.json"
+        rho = random_density_matrix(6, np.random.default_rng(40))
+        path.write_text(json.dumps(state_to_json(rho)))
+        code, payload = run_json(capsys, [
+            "capacity", "--state", str(path), "--dims", "2,3", "--cross-check",
+        ])
+        assert code == 0
+        assert payload["asymmetry_residual"] < 1e-9
+        assert payload["cross_check"]["difference"] < 1e-6
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("d", [2, 3])
@@ -237,6 +250,43 @@ class TestErrorPaths:
 
     def test_bad_werner_parameter_exit_3(self, capsys):
         assert main(["capacity", "--state", "werner:x"]) == 3
+
+    @pytest.mark.parametrize("spec", ["bloch:nan,0,0", "bloch:inf,0,0"])
+    def test_non_finite_bloch_exit_4(self, capsys, spec):
+        assert main(["capacity", "--state", spec]) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_nan_matrix_entry_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 2, "matrix": [[[0.5, 0], [NaN, 0]], [[NaN, 0], [0.5, 0]]]}')
+        assert main(["capacity", "--state", str(path)]) == 4
+
+    def test_negative_seed_exit_3(self, capsys):
+        assert main(["simulate", "--trials", "10", "--seed", "-1"]) == 3
+        assert capsys.readouterr().err.startswith("error: --seed")
+
+    def test_directory_state_exit_3(self, capsys, tmp_path):
+        assert main(["capacity", "--state", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("spec", ["0:nan:0.1", "0:inf:0.1", "0:1:nan", "-inf:1:0.1"])
+    def test_non_finite_sweep_exit_3(self, capsys, spec):
+        assert main(["capacity", "--state", "werner", f"--sweep={spec}"]) == 3
+
+    def test_oversized_sweep_rejected_before_allocation(self, capsys, monkeypatch):
+        import densecap.cli as cli
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("sweep grid allocated")
+
+        monkeypatch.setattr(cli.np, "arange", no_alloc)
+        assert main(["capacity", "--state", "werner", "--sweep", "0:1:1e-12"]) == 3
+        assert main(["capacity", "--state", "werner", "--sweep", "0:1:1e-6"]) == 3
+        assert main(["capacity", "--state", "werner", "--sweep=-1e308:1e308:1"]) == 3
+
+    def test_largest_sweep_accepted(self):
+        from densecap.cli import MAX_SWEEP_POINTS, _parse_sweep
+
+        assert len(_parse_sweep("0:0.999999:0.000001")) == MAX_SWEEP_POINTS
 
 
 class TestDeterminism:

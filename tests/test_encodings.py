@@ -169,6 +169,16 @@ class TestGellmann:
             gellmann_basis(1)
 
 
+@pytest.mark.parametrize("build,field", [(gellmann_basis, "lambdas"), (weyl_set, "unitaries")])
+def test_cached_and_read_only(build, field):
+    first = build(3)
+    assert build(3) is first
+    for m in getattr(first, field):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+
 class TestWeylSet:
     def test_d2_equals_paulis_up_to_phase(self):
         e = weyl_set(2)

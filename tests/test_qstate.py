@@ -68,6 +68,13 @@ class TestDensityMatrix:
         m = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
         assert m.eigenvalues()[0] == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(InvalidState):
+            DensityMatrix(m)
+
     def test_matrix_is_read_only(self):
         m = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
@@ -91,6 +98,13 @@ class TestBloch:
             from_bloch((0.8, 0.8, 0.8))
         with pytest.raises(BlochNormExceeded):
             BlochVector(1.0 + 1e-6, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_components_rejected(self, bad):
+        with pytest.raises(InvalidState):
+            BlochVector(bad, 0.0, 0.0)
+        with pytest.raises(InvalidState):
+            from_bloch((0.0, 0.0, bad))
 
     def test_round_trip_on_unit_ball(self):
         rng = np.random.default_rng(11)

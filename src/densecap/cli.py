@@ -199,7 +199,13 @@ def _parse_sweep(spec: str) -> np.ndarray:
     return values[values <= p1 + 1e-12]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParseError(f"--tol must be finite and > 0, got {tol}")
+
+
 def cmd_capacity(args) -> int:
+    _check_tol(args.tol)
     if args.sweep:
         family = (args.state or "werner").split(":", 1)[0]
         if family != "werner":
@@ -426,6 +432,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_entanglement(args) -> int:
+    _check_tol(args.tol)
+    if args.restarts < 1:
+        raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
     s = _as_bipartite(load_state(args.state), args.dims)
     result = ent.convex_roof(s, m=args.m, restarts=args.restarts, tol=args.tol, seed=args.seed)
     record = result.to_json()

@@ -172,6 +172,8 @@ def convex_roof(
     converged reports whether the winning restart's last sweep improved
     by less than tol.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     d_a, d_b = s.dims
     lam, vecs = np.linalg.eigh(s.joint.matrix)
     keep = lam > _RANK_TOL
@@ -185,7 +187,7 @@ def convex_roof(
 
     # row k of M holds the unnormalized |psi~_k> reshaped to (d_a, d_b)
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
-    n_restarts = max(1, int(restarts))
+    n_restarts = int(restarts)
     rng = np.random.default_rng(seed)
     mix = np.zeros((n_restarts, m, rank), dtype=complex)
     mix[0, :rank, :rank] = np.eye(rank)

@@ -8,8 +8,9 @@ transmitted bit and optionally undone with the receiver's key bit.
 
 Randomness comes from the counter-based Philox generator keyed by the
 caller's seed; trial t consumes the two uniform variates at positions
-(2t, 2t + 1) of the stream, so parallel executions that partition the
-trial range reproduce the sequential count table exactly.
+(2t, 2t + 1) of the stream, so any partition of the trial range -- the
+fixed blocks drawn here, or parallel executions -- reproduces the
+sequential count table exactly, and memory does not grow with trials.
 """
 
 from __future__ import annotations
@@ -97,15 +98,27 @@ class SingleParticleDecoder:
     basis: str = "z"
 
 
-def _trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
+# trials per Philox draw; memory per run is bounded by one block
+_BLOCK_TRIALS = 65_536
+
+
+def _uniform_blocks(seed: int, trials: int):
+    """Yield (n, 2) uniforms for consecutive trial blocks of one Philox stream."""
     gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((trials, draws))
+    for start in range(0, trials, _BLOCK_TRIALS):
+        yield gen.random((min(_BLOCK_TRIALS, trials - start), 2))
 
 
-def _sample_from_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-trial inverse-CDF sampling; cum_rows[t] is trial t's cumulative row."""
-    idx = np.sum(u[:, None] >= cum_rows, axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _inverse_cdf(thresholds, u: np.ndarray) -> np.ndarray:
+    """Count the cumulative thresholds at or below each u, one column at a time.
+
+    Passing every cumulative entry but the last (forced to 1.0 > u) gives
+    searchsorted(cum, u, side="right") without clipping.
+    """
+    idx = np.zeros(u.shape, dtype=np.int64)
+    for t in thresholds:
+        idx += u >= t
+    return idx
 
 
 def empirical_mutual_information(counts: np.ndarray) -> float:
@@ -188,11 +201,11 @@ def run_quantum_dense(
     cum_rows = np.cumsum(q, axis=1)
     cum_rows[:, -1] = 1.0
 
-    u = _trial_uniforms(seed, trials, 2)
-    messages = np.minimum(np.searchsorted(cum_prior, u[:, 0], side="right"), n_msg - 1)
-    outcomes = _sample_from_rows(cum_rows[messages], u[:, 1])
-
-    counts = np.bincount(messages * n_out + outcomes, minlength=n_msg * n_out)
+    counts = np.zeros(n_msg * n_out, dtype=np.int64)
+    for u in _uniform_blocks(seed, trials):
+        messages = _inverse_cdf(cum_prior[:-1], u[:, 0])
+        outcomes = _inverse_cdf((col[messages] for col in cum_rows.T[:-1]), u[:, 1])
+        counts += np.bincount(messages * n_out + outcomes, minlength=counts.size)
     counts = counts.reshape(n_msg, n_out)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)
 
@@ -212,11 +225,13 @@ def run_classical_dense(
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
     cum = np.cumsum(s.probabilities.reshape(-1))
     cum[-1] = 1.0
-    u = _trial_uniforms(seed, trials, 2)
-    joint = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 3)
-    j_a, j_b = joint >> 1, joint & 1
-    k = (u[:, 1] >= 0.5).astype(np.int64)
-    received = j_a ^ k
-    decoded = received ^ j_b if use_key else received
-    counts = np.bincount(k * 2 + decoded, minlength=4).reshape(2, 2)
+    counts = np.zeros(4, dtype=np.int64)
+    for u in _uniform_blocks(seed, trials):
+        joint = _inverse_cdf(cum[:-1], u[:, 0])
+        j_a, j_b = joint >> 1, joint & 1
+        k = (u[:, 1] >= 0.5).astype(np.int64)
+        received = j_a ^ k
+        decoded = received ^ j_b if use_key else received
+        counts += np.bincount(k * 2 + decoded, minlength=4)
+    counts = counts.reshape(2, 2)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BlochNormExceeded,
     DimensionMismatch,
+    InvalidDimension,
     InvalidState,
     ParseError,
 )
@@ -178,6 +179,8 @@ class BipartiteState:
     def __post_init__(self) -> None:
         d_a, d_b = int(self.dims[0]), int(self.dims[1])
         object.__setattr__(self, "dims", (d_a, d_b))
+        if min(d_a, d_b) < 2:
+            raise InvalidDimension(f"each factor of the split needs d >= 2, got {self.dims}")
         if d_a * d_b != self.joint.dim:
             raise DimensionMismatch(
                 f"dims {self.dims} do not factor joint dimension {self.joint.dim}"

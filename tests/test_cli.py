@@ -272,6 +272,36 @@ class TestErrorPaths:
     def test_non_finite_sweep_exit_3(self, capsys, spec):
         assert main(["capacity", "--state", "werner", f"--sweep={spec}"]) == 3
 
+    @pytest.mark.parametrize("dims", ["1,4", "4,1", "-2,-2"])
+    def test_split_factor_below_two_exit_4(self, capsys, dims):
+        assert main(["capacity", "--state", "bell", f"--dims={dims}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_non_positive_restarts_exit_3(self, capsys, restarts):
+        assert main(["entanglement", "--state", "werner:0.8", f"--restarts={restarts}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --restarts") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--state", "werner:0.5"],
+            ["capacity", "--state", "werner", "--sweep", "0:1:0.5"],
+            ["entanglement", "--state", "werner:0.8"],
+        ],
+        ids=["capacity", "capacity-sweep", "entanglement"],
+    )
+    def test_bad_tol_exit_3(self, capsys, argv, tol):
+        assert main([*argv, f"--tol={tol}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
+
     def test_oversized_sweep_rejected_before_allocation(self, capsys, monkeypatch):
         import densecap.cli as cli
 

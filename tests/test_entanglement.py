@@ -179,6 +179,11 @@ class TestConvexRoof:
         assert a.value == b.value
         assert all(np.array_equal(x, y) for x, y in zip(a.decomposition.vectors, b.decomposition.vectors))
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_non_positive_restarts_rejected(self, restarts):
+        with pytest.raises(ValueError):
+            convex_roof(werner_state(0.5), restarts=restarts)
+
     def test_restart_count_reported(self):
         res = convex_roof(werner_state(0.5), restarts=5, seed=10)
         assert res.restarts_used == 5

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from densecap import protosim
 from densecap import (
     BellDecoder,
     BipartiteState,
@@ -17,16 +19,21 @@ from densecap import (
     empirical_mutual_information,
     from_bloch,
     holevo_chi,
+    max_entangled_state,
     partial_trace,
     run_classical_dense,
     run_quantum_dense,
     weyl_set,
     werner_state,
 )
+from densecap.encodings import EncodingEnsemble
 from densecap.qstate import DensityMatrix
 
 
 CANONICAL = canonical_qubit_set(OrthonormalFrame.standard())
+# nonuniform Weyl prior with a zero entry: message 2 is never drawn
+WEYL3_SKEWED = EncodingEnsemble(3, weyl_set(3).unitaries, [0.3, 0.1, 0.0, 0.05, 0.15, 0.1, 0.1, 0.15, 0.05])
+SKEWED_JOINT = ClassicalJointState(np.array([[0.6, 0.25], [0.0, 0.15]]))
 
 
 def z_product_state(v_a=(0, 0, 1), v_b=(0, 0, 1)) -> BipartiteState:
@@ -218,3 +225,88 @@ def test_single_particle_reduction_matches_partial_trace():
     reduced = partial_trace(DensityMatrix(sig), (2, 2), "A")
     expected = u @ s.reduced_a.matrix @ u.conj().T
     assert np.allclose(reduced.matrix, expected, atol=1e-12)
+
+
+def monolithic_quantum_counts(s, e, decoder, trials, seed):
+    """Unblocked reference sampler: one (trials x 2) draw and a per-trial row gather."""
+    q = protosim._outcome_distributions(s, e, decoder)
+    n_msg, n_out = q.shape
+    cum_prior = np.cumsum(e.prior)
+    cum_prior[-1] = 1.0
+    cum_rows = np.cumsum(q, axis=1)
+    cum_rows[:, -1] = 1.0
+    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
+    messages = np.minimum(np.searchsorted(cum_prior, u[:, 0], side="right"), n_msg - 1)
+    outcomes = np.minimum(np.sum(u[:, 1, None] >= cum_rows[messages], axis=1), n_out - 1)
+    return np.bincount(messages * n_out + outcomes, minlength=n_msg * n_out).reshape(n_msg, n_out)
+
+
+def monolithic_classical_counts(s, use_key, trials, seed):
+    cum = np.cumsum(s.probabilities.reshape(-1))
+    cum[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
+    joint = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 3)
+    k = (u[:, 1] >= 0.5).astype(np.int64)
+    received = (joint >> 1) ^ k
+    decoded = received ^ (joint & 1) if use_key else received
+    return np.bincount(k * 2 + decoded, minlength=4).reshape(2, 2)
+
+
+QUANTUM_CASES = {
+    "bell": (bell_state(), CANONICAL, BellDecoder()),
+    "single-x": (werner_state(0.6), CANONICAL, SingleParticleDecoder("x")),
+    "weyl3-skewed": (max_entangled_state(3), WEYL3_SKEWED, SingleParticleDecoder("z")),
+}
+CLASSICAL_CASES = {
+    "keyed": (ClassicalJointState.maximally_correlated(), True),
+    "no-key-skewed": (SKEWED_JOINT, False),
+}
+
+
+def sampled_counts(case, trials, seed):
+    if case in QUANTUM_CASES:
+        return run_quantum_dense(*QUANTUM_CASES[case], trials, seed).joint_counts
+    return run_classical_dense(*CLASSICAL_CASES[case], trials, seed).joint_counts
+
+
+def reference_counts(case, trials, seed):
+    if case in QUANTUM_CASES:
+        return monolithic_quantum_counts(*QUANTUM_CASES[case], trials, seed)
+    return monolithic_classical_counts(*CLASSICAL_CASES[case], trials, seed)
+
+
+ALL_CASES = [*QUANTUM_CASES, *CLASSICAL_CASES]
+
+
+class TestBlockedSampler:
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_partition_invariance(self, case, monkeypatch):
+        tables = []
+        for block in (1, 7, 65_536):
+            monkeypatch.setattr(protosim, "_BLOCK_TRIALS", block)
+            tables.append(sampled_counts(case, 3_001, 17))
+        assert all(np.array_equal(tables[0], t) for t in tables[1:])
+        assert tables[0].sum() == 3_001
+
+    @pytest.mark.parametrize("trials", [1, 65_535, 65_536, 65_537, 200_003])
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_equals_monolithic_sampler(self, case, trials):
+        assert np.array_equal(sampled_counts(case, trials, 23), reference_counts(case, trials, 23))
+
+    def test_zero_prior_message_never_sampled(self):
+        counts = sampled_counts("weyl3-skewed", 50_000, 4)
+        assert counts[2].sum() == 0
+        assert np.all(counts.sum(axis=1)[np.array(WEYL3_SKEWED.prior) > 0] > 0)
+
+    def test_memory_flat_in_trial_count(self):
+        def peak_mb(trials):
+            tracemalloc.start()
+            try:
+                run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), trials, 3)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        peak_mb(1_000)  # first-call caches
+        small, large = peak_mb(250_000), peak_mb(4_000_000)
+        assert abs(large - small) < 1.0

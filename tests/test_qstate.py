@@ -9,6 +9,7 @@ from densecap import (
     BlochVector,
     DensityMatrix,
     DimensionMismatch,
+    InvalidDimension,
     InvalidState,
     ParseError,
     bell_state,
@@ -228,6 +229,11 @@ class TestCorrelationTensor:
     def test_bad_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             BipartiteState(random_density_matrix(6, np.random.default_rng(1)), (2, 2))
+
+    @pytest.mark.parametrize("dims", [(1, 4), (4, 1), (-2, -2)])
+    def test_factor_below_two_rejected(self, dims):
+        with pytest.raises(InvalidDimension):
+            BipartiteState(random_density_matrix(4, np.random.default_rng(1)), dims)
 
 
 class TestNamedStates:

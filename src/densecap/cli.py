@@ -395,6 +395,8 @@ def _parse_decoder(spec: str):
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ParseError(f"--trials must be >= 1, got {args.trials}")
     if args.protocol == "quantum":
         s = _as_bipartite(load_state(args.state or "bell"), args.dims)
         if args.ensemble:

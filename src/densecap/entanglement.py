@@ -1,10 +1,10 @@
 """Convex-roof correlation functional and its two-qubit oracle.
 
 E(rho_AB) is the minimum over convex decompositions into pure states of
-the average sum of marginal entropies.  The minimizer searches over
-column-orthonormal mixing matrices applied to the eigendecomposition;
-for two qubits the Wootters concurrence gives an independent closed-form
-value E = 2 E_F to validate against.
+the average sum of marginal entropies.  The minimizer runs gradient
+descent over the isometries that mix the eigendecomposition; for two
+qubits the Wootters concurrence gives an independent closed-form value
+E = 2 E_F to validate against.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from .errors import DimensionUnsupported, RankTooLarge, SplitMismatch
 from .qstate import PAULI_Y, BipartiteState
 
 _RANK_TOL = 1e-12
+_MAX_ITERATIONS = 2000
+_MAX_HALVINGS = 40
+_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +80,12 @@ class ConvexRoofResult:
         }
 
 
+def _log2_floor(x: np.ndarray) -> np.ndarray:
+    return np.log2(np.maximum(x, 1e-300))
+
+
 def _xlog2x(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x * np.log2(np.maximum(x, 1e-300)), 0.0)
+    return np.where(x > 0.0, x * _log2_floor(x), 0.0)
 
 
 def _binary_entropy(p: float) -> float:
@@ -119,35 +126,28 @@ def concurrence_oracle(s: BipartiteState) -> tuple[float, float]:
     return c, ef
 
 
-def _rows_cost_qubit(rows: np.ndarray) -> np.ndarray:
-    """Per-row cost 2 p H(Schmidt) for unnormalized (..., 2, 2) rows, closed form."""
-    frob = np.sum(np.abs(rows) ** 2, axis=(-2, -1))
-    det = rows[..., 0, 0] * rows[..., 1, 1] - rows[..., 0, 1] * rows[..., 1, 0]
-    disc = np.sqrt(np.maximum(frob * frob - 4.0 * np.abs(det) ** 2, 0.0))
-    s1 = np.maximum((frob + disc) / 2.0, 0.0)
-    s2 = np.maximum((frob - disc) / 2.0, 0.0)
-    return 2.0 * (_xlog2x(frob) - _xlog2x(s1) - _xlog2x(s2))
+def _rows_cost_grad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cost 2 p H(Schmidt) of unnormalized (..., d_a, d_b) rows and its gradient.
+
+    With M = U diag(s) W^dag and p = |M|_F^2 the cost is
+    2 (p log2 p - sum s^2 log2 s^2), and its Wirtinger gradient
+    G = d cost / d conj(M) = 2 (log2 p - log2 M M^dag) M
+      = 2 U diag((log2 p - log2 s^2) s) W^dag,
+    so that d cost = 2 Re tr(G^dag dM).  Zero singular values contribute 0.
+    """
+    u, s, wh = np.linalg.svd(rows, full_matrices=False)
+    sq = s * s
+    p = sq.sum(axis=-1)
+    cost = 2.0 * (_xlog2x(p) - np.sum(_xlog2x(sq), axis=-1))
+    scale = 2.0 * (_log2_floor(p)[..., None] - _log2_floor(sq)) * s
+    return cost, np.einsum("...ij,...j,...jk->...ik", u, scale, wh)
 
 
-def _rows_cost_general(rows: np.ndarray) -> np.ndarray:
-    sq = np.linalg.svd(rows, compute_uv=False) ** 2
-    frob = sq.sum(axis=-1)
-    return 2.0 * (_xlog2x(frob) - np.sum(_xlog2x(sq), axis=-1))
-
-
-def _rows_cost(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[-2:] == (2, 2):
-        return _rows_cost_qubit(rows)
-    return _rows_cost_general(rows)
-
-
-def _mix_rows(a, b, theta, phi):
-    """Apply the two-row rotation [[c, s e^{i phi}], [-s e^{-i phi}, c]]."""
-    ct = np.cos(theta)[..., None, None]
-    st_ph = (np.sin(theta) * np.exp(1j * phi))[..., None, None]
-    new_a = ct * a + st_ph * b
-    new_b = -st_ph.conj() * a + ct * b
-    return new_a, new_b
+def _retract(v: np.ndarray) -> np.ndarray:
+    """Q of v = QR with R's diagonal real and positive; v = V - t xi has full column rank."""
+    q, r = np.linalg.qr(v)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def convex_roof(
@@ -161,15 +161,20 @@ def convex_roof(
 
     Decompositions are generated from the eigensystem (lam_i, |e_i>) of
     rho_AB as |psi~_k> = sum_i V_ki sqrt(lam_i) |e_i> with V ranging over
-    m x r column-orthonormal matrices, p_k = <psi~_k|psi~_k>.  The search
-    is a gradient-free coordinate descent over two-row rotations of V
-    (angle and relative phase per row pair), restarted from random
-    isometries; restart 0 starts at the eigendecomposition itself, so
-    the result never exceeds its cost.  All restarts descend in lockstep
-    and the minimum wins, lowest restart index breaking ties.
+    the m x r isometries (V^dag V = 1), p_k = <psi~_k|psi~_k>.  The search
+    is Riemannian steepest descent on this Stiefel manifold (Audenaert,
+    Verstraete & De Moor, PRA 64, 052304 (2001); Roethlisberger, Lehmann &
+    Loss, PRA 80, 042301 (2009)): the analytic gradient of the cost,
+    projected onto the tangent space at V, a QR retraction, and Armijo
+    backtracking that starts from each restart's last accepted step.
+    Restarts begin at random isometries, except restart 0, which begins at
+    the eigendecomposition itself, so the result never exceeds its cost.
+    All restarts descend as one batch, each stopping once an iteration
+    lowers its cost by less than tol; the minimum wins, lowest restart
+    index breaking ties.
 
     The returned value is an upper bound on the convex-roof minimum;
-    converged reports whether the winning restart's last sweep improved
+    converged reports whether the winning restart's last step improved
     by less than tol.
     """
     if restarts < 1:
@@ -185,7 +190,7 @@ def convex_roof(
     if m < rank:
         raise RankTooLarge(f"m = {m} is below rank {rank}")
 
-    # row k of M holds the unnormalized |psi~_k> reshaped to (d_a, d_b)
+    # row k of M = V basis holds the unnormalized |psi~_k> reshaped to (d_a, d_b)
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
     n_restarts = int(restarts)
     rng = np.random.default_rng(seed)
@@ -194,61 +199,47 @@ def convex_roof(
     for r in range(1, n_restarts):
         g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
         mix[r], _ = np.linalg.qr(g)
-    rows = np.einsum("rki,iab->rkab", mix, basis)
 
-    row_cost = _rows_cost(rows)
-    pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
-    coarse_theta, coarse_phi = np.meshgrid(
-        np.linspace(0.0, np.pi / 2.0, 7), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    )
-    coarse = (coarse_theta.ravel(), coarse_phi.ravel())
-    refine_spans = [(np.pi / 12.0, np.pi / 8.0)]
-    for _ in range(2):
-        refine_spans.append((refine_spans[-1][0] / 4.0, refine_spans[-1][1] / 4.0))
+    def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # total cost per restart and its gradient d cost / d conj(V)
+        cost, grad = _rows_cost_grad(np.einsum("rki,iab->rkab", v, basis))
+        return cost.sum(axis=1), np.einsum("iab,rkab->rki", basis.conj(), grad)
 
-    max_sweeps = 60
+    cost, grad = evaluate(mix)
+    step = np.ones(n_restarts)
     last_improvement = np.full(n_restarts, np.inf)
-    for _ in range(max_sweeps):
-        sweep_start = row_cost.sum(axis=1)
-        for k, l in pairs:
-            a, b = rows[:, k], rows[:, l]
-            theta, phi = coarse
-            cand_a, cand_b = _mix_rows(a[:, None], b[:, None], theta, phi)
-            totals = _rows_cost(cand_a) + _rows_cost(cand_b)
-            best = np.argmin(totals, axis=1)
-            best_theta = theta[best]
-            best_phi = phi[best]
-            best_total = np.take_along_axis(totals, best[:, None], axis=1)[:, 0]
-            for span_theta, span_phi in refine_spans:
-                off_t, off_p = np.meshgrid(
-                    np.linspace(-span_theta, span_theta, 5), np.linspace(-span_phi, span_phi, 5)
-                )
-                theta = best_theta[:, None] + off_t.ravel()
-                phi = best_phi[:, None] + off_p.ravel()
-                cand_a, cand_b = _mix_rows(a[:, None], b[:, None], theta, phi)
-                totals = _rows_cost(cand_a) + _rows_cost(cand_b)
-                best = np.argmin(totals, axis=1)
-                cand_total = np.take_along_axis(totals, best[:, None], axis=1)[:, 0]
-                better = cand_total < best_total
-                best_theta = np.where(better, np.take_along_axis(theta, best[:, None], axis=1)[:, 0], best_theta)
-                best_phi = np.where(better, np.take_along_axis(phi, best[:, None], axis=1)[:, 0], best_phi)
-                best_total = np.where(better, cand_total, best_total)
-            improved = best_total < row_cost[:, k] + row_cost[:, l] - 1e-14
-            if np.any(improved):
-                new_a, new_b = _mix_rows(a, b, best_theta, best_phi)
-                rows[improved, k] = new_a[improved]
-                rows[improved, l] = new_b[improved]
-                row_cost[improved, k] = _rows_cost(new_a[improved])
-                row_cost[improved, l] = _rows_cost(new_b[improved])
-        last_improvement = sweep_start - row_cost.sum(axis=1)
-        if np.all(last_improvement < tol):
+    active = np.arange(n_restarts)
+    for _ in range(_MAX_ITERATIONS):
+        v = mix[active]
+        vg = v.conj().transpose(0, 2, 1) @ grad[active]
+        xi = grad[active] - v @ ((vg + vg.conj().transpose(0, 2, 1)) / 2.0)
+        # cost falls along -xi at rate 2 |xi|^2
+        decrease = _ARMIJO * 2.0 * np.sum(np.abs(xi) ** 2, axis=(1, 2))
+        old = cost[active]
+        t = step[active]
+        pending = np.arange(active.size)
+        for _ in range(_MAX_HALVINGS):
+            cand = _retract(v[pending] - t[pending, None, None] * xi[pending])
+            cand_cost, cand_grad = evaluate(cand)
+            ok = cand_cost <= old[pending] - t[pending] * decrease[pending]
+            accepted = active[pending[ok]]
+            mix[accepted] = cand[ok]
+            cost[accepted] = cand_cost[ok]
+            grad[accepted] = cand_grad[ok]
+            step[accepted] = t[pending[ok]]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            t[pending] /= 2.0
+        last_improvement[active] = old - cost[active]
+        active = active[last_improvement[active] >= tol]
+        if active.size == 0:
             break
 
-    totals = row_cost.sum(axis=1)
-    winner = int(np.argmin(totals))
+    winner = int(np.argmin(cost))
     converged = bool(last_improvement[winner] < tol)
 
-    flat = rows[winner].reshape(m, d_a * d_b)
+    flat = np.einsum("ki,iab->kab", mix[winner], basis).reshape(m, d_a * d_b)
     weights = np.sum(np.abs(flat) ** 2, axis=1)
     nonzero = weights > 1e-12
     flat, weights = flat[nonzero], weights[nonzero]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import EncodingEnsemble
-from .errors import DimensionMismatch, InvalidTrials
+from .errors import DimensionMismatch, InvalidState, InvalidTrials
 from .qstate import _BELL_VECTORS, BipartiteState
 
 
@@ -61,9 +61,11 @@ class ClassicalJointState:
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 table, got shape {p.shape}")
+            raise InvalidState(f"expected a 2x2 table, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise InvalidState("probabilities must be finite")
         if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be non-negative and sum to 1")
+            raise InvalidState("probabilities must be non-negative and sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 

@@ -265,6 +265,22 @@ class TestErrorPaths:
         assert main(["simulate", "--trials", "10", "--seed", "-1"]) == 3
         assert capsys.readouterr().err.startswith("error: --seed")
 
+    @pytest.mark.parametrize("joint", ["nan,0,0,1", "inf,0,0,1", "0.3,0.3,0.3,0.3"])
+    def test_bad_classical_joint_exit_4(self, capsys, joint):
+        argv = ["simulate", "--protocol", "classical", "--joint", joint, "--trials", "1000"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("protocol", ["quantum", "classical"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_exit_3(self, capsys, protocol, trials):
+        assert main(["simulate", "--protocol", protocol, f"--trials={trials}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --trials") and captured.err.count("\n") == 1
+
     def test_directory_state_exit_3(self, capsys, tmp_path):
         assert main(["capacity", "--state", str(tmp_path)]) == 3
 

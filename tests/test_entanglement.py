@@ -17,6 +17,7 @@ from densecap import (
     von_neumann_entropy,
     werner_state,
 )
+from densecap.entanglement import _retract, _rows_cost_grad
 from densecap.sampling import random_bipartite_state, random_pure_state
 
 
@@ -110,6 +111,46 @@ class TestConcurrenceOracle:
             concurrence_oracle(max_entangled_state(3))
 
 
+def _complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestRowsCostGradient:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("rank_deficient", [False, True], ids=["full", "deficient"])
+    def test_matches_central_differences(self, dims, rank_deficient):
+        rng = np.random.default_rng(dims[0] * 10 + dims[1] + 100 * rank_deficient)
+        rank = min(dims) - 1 if rank_deficient else min(dims)
+        row = _complex_gaussian(rng, dims[0], rank) @ _complex_gaussian(rng, rank, dims[1])
+        row /= 1.5 * np.linalg.norm(row)
+        assert np.linalg.matrix_rank(row) == rank
+        cost, grad = _rows_cost_grad(row)
+        schmidt = np.linalg.svd(row, compute_uv=False) ** 2
+        p = schmidt.sum()
+        schmidt = schmidt[schmidt > 1e-20] / p
+        assert cost == pytest.approx(-2.0 * p * np.sum(schmidt * np.log2(schmidt)), abs=1e-12)
+        h = 1e-6
+        for _ in range(6):
+            direction = _complex_gaussian(rng, *dims)
+            plus, _ = _rows_cost_grad(row + h * direction)
+            minus, _ = _rows_cost_grad(row - h * direction)
+            # d cost = 2 Re tr(G^dag dM) for the Wirtinger gradient G = d cost / d conj(M)
+            assert (plus - minus) / (2.0 * h) == pytest.approx(2.0 * np.vdot(grad, direction).real, abs=1e-7)
+
+
+def test_qr_retraction():
+    rng = np.random.default_rng(16)
+    v = _complex_gaussian(rng, 3, 5, 2)
+    q = _retract(v)
+    assert np.allclose(q.conj().transpose(0, 2, 1) @ q, np.eye(2), atol=1e-12)
+    r = q.conj().transpose(0, 2, 1) @ v
+    assert np.allclose(np.tril(r, -1), 0.0, atol=1e-12)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.all(diag.real > 0.0) and np.allclose(diag.imag, 0.0, atol=1e-12)
+    # an isometry is its own retraction, whatever sign convention the QR uses
+    assert np.allclose(_retract(q), q, atol=1e-12)
+
+
 class TestConvexRoof:
     def test_pure_bell_state(self):
         res = convex_roof(bell_state(), restarts=4, seed=0)
@@ -143,11 +184,20 @@ class TestConvexRoof:
 
     def test_never_exceeds_eigendecomposition_cost(self):
         rng = np.random.default_rng(4)
-        for _ in range(5):
-            s = random_bipartite_state((2, 2), rng, rank=int(rng.integers(1, 5)))
-            baseline = decomposition_cost(eigendecomposition_of(s))
-            res = convex_roof(s, restarts=4, seed=5)
-            assert res.value <= baseline + 1e-9
+        for dims, count in (((2, 2), 5), ((2, 3), 3), ((3, 3), 3)):
+            for _ in range(count):
+                d = dims[0] * dims[1]
+                s = random_bipartite_state(dims, rng, rank=int(rng.integers(1, d + 1)))
+                baseline = decomposition_cost(eigendecomposition_of(s))
+                res = convex_roof(s, restarts=4, seed=5)
+                assert res.value <= baseline + 1e-9
+
+    def test_full_rank_qutrit_pair_converges(self):
+        s = random_bipartite_state((3, 3), np.random.default_rng(13))
+        res = convex_roof(s, restarts=2, seed=14)
+        assert res.converged
+        assert res.value <= decomposition_cost(eigendecomposition_of(s)) + 1e-9
+        assert np.linalg.norm(res.decomposition.state() - s.joint.matrix) < 1e-8
 
     def test_separable_random_product_mixture(self):
         rng = np.random.default_rng(6)

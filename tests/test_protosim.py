@@ -10,6 +10,7 @@ from densecap import (
     BipartiteState,
     ClassicalJointState,
     DimensionMismatch,
+    InvalidState,
     InvalidTrials,
     OrthonormalFrame,
     SingleParticleDecoder,
@@ -181,10 +182,13 @@ class TestClassicalProtocol:
             run_classical_dense(ClassicalJointState.maximally_correlated(), True, 0, 0)
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState):
             ClassicalJointState(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState):
             ClassicalJointState(np.array([[1.5, 0.0], [0.0, -0.5]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidState):
+                ClassicalJointState(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestEmpiricalMi:

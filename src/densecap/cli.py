@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,11 +34,15 @@ from .qstate import (
     BipartiteState,
     DensityMatrix,
     bell_state,
+    _partial_trace_array,
+    _spectrum_entropies,
+    _validated_spectra,
     correlation_reconstruct,
     from_bloch,
     max_entangled_state,
     state_from_json,
     von_neumann_entropy,
+    werner_matrices,
     werner_state,
 )
 from .sampling import (
@@ -90,15 +92,6 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
     for row in rows:
         lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
     _emit("\n".join(lines), out)
-
-
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("DENSECAP_THREADS", "")
-    try:
-        limit = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        raise ParseError(f"DENSECAP_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(limit, n_jobs))
 
 
 def _load_json(path: str):
@@ -157,26 +150,55 @@ def _as_bipartite(state, dims_flag: str | None) -> BipartiteState:
     return BipartiteState(state, (root, root))
 
 
-def _capacity_row(s: BipartiteState) -> dict:
-    s_a = von_neumann_entropy(s.reduced_a)
-    s_b = von_neumann_entropy(s.reduced_b)
-    c_normal_a = cap.normal_capacity(s.reduced_a)
-    c_normal_b = cap.normal_capacity(s.reduced_b)
-    c_ab = cap.dense_capacity(s, "a2b")
-    c_ba = cap.dense_capacity(s, "b2a")
-    mi = cap.mutual_information(s)
+def _capacity_columns(d_a: int, d_b: int, s_a, s_b, s_ab) -> dict:
+    """Capacities and identity residuals from S(rho_A), S(rho_B), S(rho_AB).
+
+    The entropies are numbers or equal-length arrays (one entry per
+    state), and so is every column of the result.  The operation order
+    is that of capacity.normal_capacity, dense_capacity and
+    mutual_information, so the numbers match them bit for bit.
+    """
+    c_normal_a = math.log2(d_a) - s_a
+    c_normal_b = math.log2(d_b) - s_b
+    c_ab = math.log2(d_a) + s_b - s_ab
+    c_ba = math.log2(d_b) + s_a - s_ab
+    mi = s_a + s_b - s_ab
+    mi = np.where(mi < 0.0, 0.0, mi)
     return {
         "c_normal_a": c_normal_a,
         "c_normal_b": c_normal_b,
         "c_dense_ab": c_ab,
         "c_dense_ba": c_ba,
         "mutual_info": mi,
-        "residual_ab": abs((c_ab - c_normal_a) - mi),
-        "residual_ba": abs((c_ba - c_normal_b) - mi),
-        "asymmetry_residual": abs(
-            (c_ab - c_ba) - (math.log2(s.dim_a) - math.log2(s.dim_b) + s_b - s_a)
+        "residual_ab": np.abs((c_ab - c_normal_a) - mi),
+        "residual_ba": np.abs((c_ba - c_normal_b) - mi),
+        "asymmetry_residual": np.abs(
+            (c_ab - c_ba) - (math.log2(d_a) - math.log2(d_b) + s_b - s_a)
         ),
     }
+
+
+def _capacity_row(s: BipartiteState) -> dict:
+    entropies = (von_neumann_entropy(r) for r in (s.reduced_a, s.reduced_b, s.joint))
+    return {key: float(x) for key, x in _capacity_columns(s.dim_a, s.dim_b, *entropies).items()}
+
+
+def _werner_sweep_columns(params: np.ndarray) -> dict:
+    """_capacity_columns of the Werner states at every p in params.
+
+    One batched eigvalsh per stack (joints and both reductions), with
+    every DensityMatrix check applied to each matrix of the stack.
+    """
+    joints = werner_matrices(params)
+    s_ab, s_a, s_b = (
+        _spectrum_entropies(_validated_spectra(m))
+        for m in (
+            joints,
+            _partial_trace_array(joints, (2, 2), "A"),
+            _partial_trace_array(joints, (2, 2), "B"),
+        )
+    )
+    return _capacity_columns(2, 2, s_a, s_b, s_ab)
 
 
 def _parse_sweep(spec: str) -> np.ndarray:
@@ -207,31 +229,31 @@ def _check_tol(tol: float) -> None:
 def cmd_capacity(args) -> int:
     _check_tol(args.tol)
     if args.sweep:
-        family = (args.state or "werner").split(":", 1)[0]
-        if family != "werner":
-            raise ParseError("--sweep supports the werner family; pass --state werner")
+        if args.state != "werner":
+            raise ParseError(f"--sweep sets p itself; pass --state werner, got {args.state!r}")
+        if args.dims or args.cross_check:
+            raise ParseError("--sweep cannot be combined with --dims or --cross-check")
         params = _parse_sweep(args.sweep)
-        with ThreadPoolExecutor(_thread_count(len(params))) as pool:
-            rows = list(pool.map(lambda p: _capacity_row(werner_state(float(p))), params))
-        ok = all(
-            max(r["residual_ab"], r["residual_ba"], r["asymmetry_residual"]) < args.tol
-            for r in rows
-        )
+        cols = _werner_sweep_columns(params)
+        worst = np.maximum(np.maximum(cols["residual_ab"], cols["residual_ba"]), cols["asymmetry_residual"])
+        ok = bool(np.all(worst < args.tol))
+        params = params.tolist()
+        cols = {key: col.tolist() for key, col in cols.items()}
         if args.format == "csv":
             _emit_csv(
                 ["param", "c_normal", "c_dense_ab", "c_dense_ba", "mutual_info"],
-                [
-                    [float(p), r["c_normal_a"], r["c_dense_ab"], r["c_dense_ba"], r["mutual_info"]]
-                    for p, r in zip(params, rows)
-                ],
+                list(zip(params, cols["c_normal_a"], cols["c_dense_ab"], cols["c_dense_ba"], cols["mutual_info"])),
                 args.out,
             )
         else:
             payload = {
                 "command": "capacity",
-                "family": family,
+                "family": "werner",
                 "sweep": args.sweep,
-                "rows": [dict(param=float(p), **r) for p, r in zip(params, rows)],
+                "rows": [
+                    dict(param=p, **{key: col[i] for key, col in cols.items()})
+                    for i, p in enumerate(params)
+                ],
                 "pass": ok,
             }
             _emit_json(payload, args.out)

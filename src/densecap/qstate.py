@@ -9,7 +9,7 @@ All operations are pure functions on immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,32 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
+def _validated_spectra(m: np.ndarray) -> np.ndarray:
+    """Validate a stack (..., d, d) of density matrices and return their spectra.
+
+    Every matrix must have finite entries, be Hermitian and have unit
+    trace to 1e-12, and have no eigenvalue below -1e-10; the first
+    failure raises InvalidState.  Returns the ascending eigenvalues of
+    every matrix, from one batched eigvalsh, clipped to [0, 1].
+    """
+    d = m.shape[-1]
+    stack = m.reshape(-1, d, d)
+    if not np.isfinite(stack).all():
+        raise InvalidState("matrix has non-finite entries")
+    if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > HERMITICITY_TOL:
+        raise InvalidState("matrix is not Hermitian within 1e-12")
+    traces = stack.trace(axis1=1, axis2=2)
+    off = np.maximum(np.abs(traces.real - 1.0), np.abs(traces.imag)) > TRACE_TOL
+    if off.any():
+        raise InvalidState(f"trace {traces[off][0]} is not 1 within 1e-12")
+    eigs = np.linalg.eigvalsh(stack)
+    smallest = eigs[:, 0]
+    if smallest.min() < PSD_FLOOR:
+        first = float(smallest[smallest < PSD_FLOOR][0])
+        raise InvalidState(f"smallest eigenvalue {first} below -1e-10")
+    return np.clip(eigs, 0.0, 1.0).reshape(m.shape[:-1])
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A d x d complex Hermitian positive-semidefinite unit-trace operator.
@@ -39,34 +65,33 @@ class DensityMatrix:
     Validation happens on construction: finite entries, Hermiticity and
     trace to 1e-12, smallest eigenvalue no lower than -1e-10.  Eigenvalues
     in [-1e-10, 0) are treated as exact zeros downstream; anything lower
-    is rejected.
+    is rejected.  The spectrum computed for that check is kept, clipped
+    to [0, 1]; the matrix and the spectrum are read-only.
     """
 
     matrix: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidState(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidState("matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise InvalidState("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise InvalidState(f"trace {np.trace(m)} is not 1 within 1e-12")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < PSD_FLOOR:
-            raise InvalidState(f"smallest eigenvalue {smallest} below -1e-10")
+        spectrum = _validated_spectra(m)
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending real eigenvalues, clipped to [0, 1]."""
-        return np.clip(np.linalg.eigvalsh(self.matrix), 0.0, 1.0)
+        """Ascending real eigenvalues, clipped to [0, 1].
+
+        Computed once, at validation; the returned array is read-only.
+        """
+        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -130,15 +155,19 @@ def partial_trace(s: DensityMatrix, dims: tuple[int, int], keep: str) -> Density
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a * d_b != s.dim:
         raise DimensionMismatch(f"dims {dims} do not factor joint dimension {s.dim}")
-    four = s.matrix.reshape(d_a, d_b, d_a, d_b)
+    return DensityMatrix(_partial_trace_array(s.matrix, (d_a, d_b), keep))
+
+
+def _partial_trace_array(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """partial_trace on a raw stack (..., d_A d_B, d_A d_B) of joint matrices."""
+    d_a, d_b = dims
+    four = m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b)
     side = keep.upper()
     if side == "A":
-        reduced = np.einsum("ijkj->ik", four)
-    elif side == "B":
-        reduced = np.einsum("ijil->jl", four)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(reduced)
+        return np.einsum("...ijkj->...ik", four)
+    if side == "B":
+        return np.einsum("...ijil->...jl", four)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def _spectrum_entropy(eigs: np.ndarray) -> float:
@@ -149,15 +178,31 @@ def _spectrum_entropy(eigs: np.ndarray) -> float:
     return float(-np.sum(lam * np.log2(lam)))
 
 
+def _spectrum_entropies(eigs: np.ndarray) -> np.ndarray:
+    """_spectrum_entropy of every row of a stack (n, d) of clipped spectra.
+
+    Full-rank rows share one reduction, which numpy sums row by row in
+    the same order as the 1-D sum; rows with a zero eigenvalue go
+    through _spectrum_entropy, so each value matches it bit for bit.
+    """
+    full = np.all(eigs > 0.0, axis=-1)
+    out = np.empty(eigs.shape[0])
+    lam = eigs[full]
+    out[full] = -np.sum(lam * np.log2(lam), axis=-1)
+    out[~full] = [_spectrum_entropy(row) for row in eigs[~full]]
+    return out
+
+
 def von_neumann_entropy(s: DensityMatrix | np.ndarray) -> float:
     """Von Neumann entropy S(rho) = -Tr rho log2 rho in bits.
 
     Computed from the Hermitian eigenvalues, clipped to [0, 1] before the
-    logarithm.  Accepts a DensityMatrix or a raw Hermitian array.
+    logarithm.  Accepts a DensityMatrix, whose cached spectrum is used,
+    or a raw Hermitian array.
     """
-    m = s.matrix if isinstance(s, DensityMatrix) else np.asarray(s)
-    eigs = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
-    return _spectrum_entropy(eigs)
+    if isinstance(s, DensityMatrix):
+        return _spectrum_entropy(s.eigenvalues())
+    return _spectrum_entropy(np.clip(np.linalg.eigvalsh(np.asarray(s)), 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +324,23 @@ def bell_state(which: str = "psi+") -> BipartiteState:
     return BipartiteState.from_pure(vec, (2, 2))
 
 
+def werner_matrices(ps: np.ndarray) -> np.ndarray:
+    """Joint matrices p |psi+><psi+| + (1 - p) 1/4 for every p, shape (n, 4, 4).
+
+    Raises InvalidState for the first p outside [-1/3, 1].
+    """
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    outside = ~((-1.0 / 3.0 <= ps) & (ps <= 1.0))
+    if outside.any():
+        raise InvalidState(f"werner parameter {float(ps[outside][0])} outside [-1/3, 1]")
+    bell = bell_state().joint.matrix
+    p = ps[:, None, None]
+    return p * bell + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+
+
 def werner_state(p: float) -> BipartiteState:
     """Mixture p |psi+><psi+| + (1 - p) 1/4, physical for -1/3 <= p <= 1."""
-    if not -1.0 / 3.0 <= p <= 1.0:
-        raise InvalidState(f"werner parameter {p} outside [-1/3, 1]")
-    bell = bell_state().joint.matrix
-    m = p * bell + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
-    return BipartiteState(DensityMatrix(m), (2, 2))
+    return BipartiteState(DensityMatrix(werner_matrices(p)[0]), (2, 2))
 
 
 def max_entangled_state(d: int) -> BipartiteState:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from densecap import capacity as cap
 from densecap import ensemble_to_json, state_to_json, werner_state
 from densecap.cli import load_state, main
 from densecap.encodings import EncodingEnsemble
@@ -318,6 +319,24 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--state", "werner:0.5"], ["--state", "bell"], ["--dims", "1,4"], ["--dims", "2,2"], ["--cross-check"]],
+        ids=["werner-p", "bell", "dims-1-4", "dims-2-2", "cross-check"],
+    )
+    def test_sweep_with_conflicting_flag_exit_3(self, capsys, extra):
+        argv = ["capacity", "--state", "werner", "--sweep", "0:1:0.5", *extra]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --sweep") and captured.err.count("\n") == 1
+
+    def test_out_of_range_sweep_point_exit_4(self, capsys):
+        assert main(["capacity", "--state", "werner", "--sweep=-0.5:1:0.25"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: werner parameter -0.5 outside [-1/3, 1]\n"
+
     def test_oversized_sweep_rejected_before_allocation(self, capsys, monkeypatch):
         import densecap.cli as cli
 
@@ -342,13 +361,23 @@ class TestDeterminism:
         _, second = run(capsys, argv)
         assert first == second
 
-    def test_thread_env_does_not_change_sweep(self, capsys, monkeypatch):
-        argv = ["capacity", "--state", "werner", "--sweep", "0:1:0.1", "--format", "csv"]
-        monkeypatch.setenv("DENSECAP_THREADS", "1")
-        _, serial = run(capsys, argv)
-        monkeypatch.setenv("DENSECAP_THREADS", "4")
-        _, threaded = run(capsys, argv)
-        assert serial == threaded
+    # both ends of [-1/3, 1] give a rank-deficient joint state
+    @pytest.mark.parametrize(
+        "spec",
+        ["-0.3125:1:0.0625", "-0.3333333333333333:0.5:0.03125"],
+        ids=["up-to-one", "from-minus-third"],
+    )
+    def test_sweep_rows_match_single_state(self, capsys, spec):
+        from densecap.cli import _parse_sweep
+
+        code, payload = run_json(capsys, ["capacity", "--state", "werner", f"--sweep={spec}"])
+        assert code == 0
+        params = _parse_sweep(spec).tolist()
+        assert len(payload["rows"]) == len(params) > 20
+        for p, row in zip(params, payload["rows"]):
+            _, single = run_json(capsys, ["capacity", "--state", f"werner:{p!r}"])
+            for key, value in row.items():
+                assert value == (float(f"{p:.12g}") if key == "param" else single[key]), (p, key)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -366,3 +395,40 @@ def test_load_state_names():
     assert isinstance(load_state("werner:0.5"), BipartiteState)
     assert isinstance(load_state("max-entangled:4"), BipartiteState)
     assert isinstance(load_state("bloch:0,0,0"), DensityMatrix)
+
+
+def count_decompositions(monkeypatch) -> list:
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestDecompositionCounts:
+    def test_sweep_is_batched(self, capsys, monkeypatch):
+        calls = count_decompositions(monkeypatch)
+        code, payload = run_json(capsys, ["capacity", "--state", "werner", "--sweep", "0:1:0.001"])
+        assert code == 0 and len(payload["rows"]) == 1001
+        assert len(calls) <= 5
+
+    def test_capacity_row_reuses_cached_spectra(self, monkeypatch):
+        from densecap.cli import _capacity_row
+        from densecap.sampling import random_bipartite_state
+
+        s = random_bipartite_state((2, 3), np.random.default_rng(4))
+        s.reduced_a, s.reduced_b
+        calls = count_decompositions(monkeypatch)
+        row = _capacity_row(s)
+        assert calls == []
+        assert row["c_normal_a"] == cap.normal_capacity(s.reduced_a)
+        assert row["c_normal_b"] == cap.normal_capacity(s.reduced_b)
+        assert row["c_dense_ab"] == cap.dense_capacity(s, "a2b")
+        assert row["c_dense_ba"] == cap.dense_capacity(s, "b2a")
+        assert row["mutual_info"] == cap.mutual_information(s)
+        assert row["residual_ab"] < 1e-9 and row["asymmetry_residual"] < 1e-9

@@ -1,0 +1,37 @@
+"""Byte-identical CLI output against stored golden files.
+
+Each file under tests/data/golden/<name>.out holds the exact stdout of
+`densecap <argv>` run from that directory.  The files were written by
+the release before the batched Werner sweep, so a change to the
+numerics or the formatting of these commands shows here as a byte diff.
+Regenerate a file only for a deliberate output change, and say so in
+the change log.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from densecap.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+COMMANDS = {
+    "sweep_json": ["capacity", "--state", "werner", "--sweep=-0.3:1:0.01"],
+    "sweep_csv": ["capacity", "--state", "werner", "--sweep=-0.3:1:0.01", "--format", "csv"],
+    "verify_d2": ["verify", "--d", "2", "--samples", "20", "--seed", "1"],
+    "verify_d3": ["verify", "--d", "3", "--samples", "20", "--seed", "1"],
+    "werner_half": ["capacity", "--state", "werner:0.5"],
+    "max_entangled_3": ["capacity", "--state", "max-entangled:3"],
+    "cross_check_2x3": ["capacity", "--state", "state_2x3.json", "--dims", "2,3", "--cross-check"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code = main(COMMANDS[name])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"{name}.out").read_text()

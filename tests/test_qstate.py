@@ -81,6 +81,64 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             m.matrix[0, 0] = 1.0
 
+    def test_spectrum_cached_and_read_only(self, monkeypatch):
+        m = DensityMatrix(np.diag([0.75, 0.25]))
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("spectrum recomputed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+        assert m.eigenvalues().tolist() == [0.25, 0.75]
+        assert von_neumann_entropy(m) == pytest.approx(scalar_entropy([0.25, 0.75]), abs=1e-15)
+        with pytest.raises(ValueError):
+            m.eigenvalues()[0] = 1.0
+
+
+class TestValidatedSpectra:
+    """The batched checks behind DensityMatrix, one bad matrix in a stack."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, np.nan], [np.nan, 0.5]]),
+            np.array([[0.5, 0.1], [0.3, 0.5]]),
+            np.eye(2),
+            np.diag([1.5, -0.5]),
+        ],
+        ids=["non-finite", "non-hermitian", "trace", "negative"],
+    )
+    def test_each_check_fires_inside_a_stack(self, bad):
+        from densecap.qstate import _validated_spectra
+
+        with pytest.raises(InvalidState) as single:
+            DensityMatrix(bad)
+        stack = np.stack([np.eye(2) / 2, bad.astype(complex), np.diag([1.0, 0.0])])
+        with pytest.raises(InvalidState) as batched:
+            _validated_spectra(stack)
+        assert str(batched.value) == str(single.value)
+
+    def test_spectra_match_density_matrix(self):
+        from densecap.qstate import _validated_spectra
+
+        rng = np.random.default_rng(11)
+        mats = [random_density_matrix(3, rng).matrix for _ in range(6)]
+        mats.append(np.diag([1.0 + 5e-11, -5e-11, 0.0]))
+        spectra = _validated_spectra(np.stack(mats))
+        for m, row in zip(mats, spectra):
+            assert np.array_equal(row, DensityMatrix(m).eigenvalues())
+
+    @pytest.mark.parametrize("d", [2, 4, 9, 10])
+    def test_batched_entropies_match_bitwise(self, d):
+        from densecap.qstate import _spectrum_entropies, _spectrum_entropy
+
+        rng = np.random.default_rng(d)
+        eigs = np.sort(rng.dirichlet(np.ones(d), size=200), axis=1)
+        eigs[::3, : d // 2] = 0.0
+        eigs[1::5, 0] = 0.0
+        batched = _spectrum_entropies(eigs)
+        single = np.array([_spectrum_entropy(row) for row in eigs])
+        assert np.array_equal(batched.view(np.int64), single.view(np.int64))
+
 
 class TestBloch:
     def test_total_mixture(self):
@@ -249,6 +307,16 @@ class TestNamedStates:
             werner_state(1.2)
         with pytest.raises(InvalidState):
             werner_state(-0.5)
+
+    def test_werner_matrices_stack_matches_single_states(self):
+        from densecap.qstate import werner_matrices
+
+        ps = np.linspace(-1 / 3, 1.0, 7)
+        stack = werner_matrices(ps)
+        for p, m in zip(ps, stack):
+            assert np.array_equal(m, werner_state(float(p)).joint.matrix)
+        with pytest.raises(InvalidState, match="werner parameter 1.5 outside"):
+            werner_matrices(np.array([0.0, 1.5, -0.5]))
 
     def test_max_entangled_marginals(self):
         for d in (2, 3, 4):

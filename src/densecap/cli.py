@@ -22,10 +22,10 @@ from . import entanglement as ent
 from . import protosim as sim
 from .encodings import (
     OrthonormalFrame,
+    _qubit_set_stack,
     canonical_qubit_set,
     ensemble_from_json,
     gellmann_basis,
-    lift_ensemble,
     verify_orthogonality,
     weyl_set,
 )
@@ -34,10 +34,12 @@ from .qstate import (
     BipartiteState,
     DensityMatrix,
     bell_state,
+    _gamma_arrays,
+    _kron,
     _partial_trace_array,
+    _reconstruct_arrays,
     _spectrum_entropies,
     _validated_spectra,
-    correlation_reconstruct,
     from_bloch,
     max_entangled_state,
     state_from_json,
@@ -45,14 +47,16 @@ from .qstate import (
     werner_matrices,
     werner_state,
 )
-from .sampling import (
-    random_bipartite_state,
-    random_density_matrix,
-    random_orthonormal_frame,
-)
+from .sampling import _frame_rows, _ginibre_states
 
 
+# caps on sizes that a command line sets, checked before anything is allocated
 MAX_SWEEP_POINTS = 1_000_000
+MAX_DIM = 10
+MAX_RESTARTS = 1_000
+MAX_TRIALS = 10_000_000_000
+# verify draws and checks its random samples in blocks of this many
+VERIFY_BLOCK = 256
 
 
 def _fmt(x: float) -> str:
@@ -98,8 +102,6 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except IsADirectoryError:
-        raise ParseError(f"{path} is a directory, not a JSON file") from None
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ParseError(f"{path}: {exc}") from None
 
@@ -115,9 +117,12 @@ def load_state(spec: str) -> DensityMatrix | BipartiteState:
             raise ParseError(f"bad werner parameter in {spec!r}") from None
     if spec.startswith("max-entangled:"):
         try:
-            return max_entangled_state(int(spec.split(":", 1)[1]))
+            d = int(spec.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad dimension in {spec!r}") from None
+        if d > MAX_DIM:
+            raise ParseError(f"{spec!r} exceeds the largest dimension, {MAX_DIM}")
+        return max_entangled_state(d)
     if spec.startswith("bloch:"):
         parts = spec.split(":", 1)[1].split(",")
         if len(parts) != 3:
@@ -306,20 +311,52 @@ def cmd_capacity(args) -> int:
     return 0 if ok else 1
 
 
-def _max_twirl_residual(e, states, target) -> float:
-    stack = np.stack(e.unitaries)
+def _gaussian_blocks(rng: np.random.Generator, samples: int, width: int):
+    # one (n, width) draw reads the same numbers as n draws of width
+    for start in range(0, samples, VERIFY_BLOCK):
+        yield rng.standard_normal((min(VERIFY_BLOCK, samples - start), width))
+
+
+def _random_states(draws: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """random_density_matrix(d) of each row of draws, validated, and the spectra."""
+    g = draws[:, : d * d] + 1j * draws[:, d * d : 2 * d * d]
+    states = _ginibre_states(g.reshape(-1, d, d))
+    return states, _validated_spectra(states)
+
+
+def _max_norm(diffs: np.ndarray) -> float:
+    # matrix by matrix: a norm over the stack's axes rounds differently
+    return max(float(np.linalg.norm(m)) for m in diffs)
+
+
+def _frame_twirl_residual(rng: np.random.Generator, samples: int) -> float:
+    """Largest distance from 1/2 of random qubit states twirled by the qubit
+    set of a random frame, drawn before each state."""
     worst = 0.0
-    for rho in states:
-        avg = np.einsum("a,aij,jk,alk->il", e.prior, stack, rho, stack.conj())
-        worst = max(worst, float(np.linalg.norm(avg - target)))
+    for draws in _gaussian_blocks(rng, samples, 9 + 8):
+        states, _ = _random_states(draws[:, 9:], 2)
+        us = _qubit_set_stack(_frame_rows(draws[:, :9].reshape(-1, 3, 3)))
+        avg = np.einsum("a,saij,sjk,salk->sil", np.full(4, 0.25), us, states, us.conj())
+        worst = max(worst, _max_norm(avg - np.eye(2) / 2))
+    return worst
+
+
+def _ensemble_twirl_residual(e, rng: np.random.Generator, samples: int) -> float:
+    """Largest distance from 1/d of random states twirled by e."""
+    us = np.stack(e.unitaries)
+    worst = 0.0
+    for draws in _gaussian_blocks(rng, samples, 2 * e.dim * e.dim):
+        states, _ = _random_states(draws, e.dim)
+        avg = np.einsum("a,aij,sjk,alk->sil", e.prior, us, states, us.conj())
+        worst = max(worst, _max_norm(avg - np.eye(e.dim) / e.dim))
     return worst
 
 
 def cmd_verify(args) -> int:
     if not 2 <= args.d <= 6:
         raise ParseError(f"--d must be in 2..6, got {args.d}")
-    if args.samples < 1:
-        raise ParseError(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SWEEP_POINTS:
+        raise ParseError(f"--samples must be in 1..{MAX_SWEEP_POINTS:,}, got {args.samples}")
     d = args.d
     rng = np.random.default_rng(args.seed)
     checks: list[dict] = []
@@ -333,23 +370,14 @@ def cmd_verify(args) -> int:
         e = ensemble_from_json(_load_json(args.ensemble))
         gram, _ = verify_orthogonality(e)
         record("ensemble_gram", float(np.max(np.abs(gram - np.eye(len(e))))), 1e-10)
-        states = [random_density_matrix(e.dim, rng).matrix for _ in range(args.samples)]
-        target = np.eye(e.dim) / e.dim
-        record("ensemble_twirl", _max_twirl_residual(e, states, target), 1e-10)
+        record("ensemble_twirl", _ensemble_twirl_residual(e, rng, args.samples), 1e-10)
     else:
         if d == 2:
-            worst = 0.0
-            for _ in range(args.samples):
-                frame = random_orthonormal_frame(rng)
-                e = canonical_qubit_set(frame)
-                rho = random_density_matrix(2, rng).matrix
-                worst = max(worst, _max_twirl_residual(e, [rho], np.eye(2) / 2.0))
-            record("frame_twirl", worst, 1e-12)
+            record("frame_twirl", _frame_twirl_residual(rng, args.samples), 1e-12)
         weyl = weyl_set(d)
         gram, _ = verify_orthogonality(weyl)
         record("weyl_gram", float(np.max(np.abs(d * gram - d * np.eye(len(weyl))))), 1e-12)
-        states = [random_density_matrix(d, rng).matrix for _ in range(args.samples)]
-        record("weyl_twirl", _max_twirl_residual(weyl, states, np.eye(d) / d), 1e-10)
+        record("weyl_twirl", _ensemble_twirl_residual(weyl, rng, args.samples), 1e-10)
         basis = np.stack(gellmann_basis(d).lambdas)
         basis_gram = np.einsum("aij,bji->ab", basis, basis)
         record(
@@ -358,32 +386,41 @@ def cmd_verify(args) -> int:
             1e-12,
         )
 
-        identity_worst = 0.0
-        asym_worst = 0.0
-        averaged_worst = 0.0
-        reconstruct_worst = 0.0
-        eye_d = np.eye(d)
-        weyl_lifted = None if d == 2 else lift_ensemble(weyl_set(d), d, "a")
-        for _ in range(args.samples):
-            s = random_bipartite_state((d, d), rng)
-            row = _capacity_row(s)
-            identity_worst = max(identity_worst, row["residual_ab"], row["residual_ba"])
-            asym_worst = max(asym_worst, row["asymmetry_residual"])
-            if weyl_lifted is None:
-                lifted = lift_ensemble(canonical_qubit_set(random_orthonormal_frame(rng)), d, "a")
+        worst = np.zeros(4)  # difference identity, asymmetry, averaged state, reconstruction
+        dd = d * d
+        # the sender's ensemble: for d = 2 a random frame's qubit set, drawn after each state
+        prior = np.full(4, 0.25) if d == 2 else weyl.prior
+        weyl_lifted = _kron(np.stack(weyl.unitaries), np.eye(d, dtype=complex))
+        for draws in _gaussian_blocks(rng, args.samples, 2 * dd * dd + (9 if d == 2 else 0)):
+            joints, spectra = _random_states(draws, dd)
+            reduced_a, reduced_b = (_partial_trace_array(joints, (d, d), side) for side in "AB")
+            s_a, s_b = (_spectrum_entropies(_validated_spectra(r)) for r in (reduced_a, reduced_b))
+            cols = _capacity_columns(d, d, s_a, s_b, _spectrum_entropies(spectra))
+
+            if d == 2:
+                frames = _frame_rows(draws[:, 2 * dd * dd :].reshape(-1, 3, 3))
+                lifted = _kron(_qubit_set_stack(frames), np.eye(2, dtype=complex))
             else:
-                lifted = weyl_lifted
-            avg = cap.average_state(lifted, s.joint)
-            expected = np.kron(eye_d / d, s.reduced_b.matrix)
-            averaged_worst = max(averaged_worst, float(np.linalg.norm(avg.matrix - expected)))
-            rebuilt = correlation_reconstruct(s)
-            reconstruct_worst = max(
-                reconstruct_worst, float(np.linalg.norm(rebuilt.matrix - s.joint.matrix))
+                lifted = np.broadcast_to(weyl_lifted, (len(joints), *weyl_lifted.shape))
+            # state by state, as capacity.average_state: an optimized contraction
+            # over the stack rounds the residual differently in the 12th digit
+            spec = "a,aij,jk,alk->il"
+            path = np.einsum_path(spec, prior, lifted[0], joints[0], lifted[0].conj(), optimize=True)[0]
+            avg = np.stack(
+                [np.einsum(spec, prior, u, rho, u.conj(), optimize=path) for u, rho in zip(lifted, joints)]
             )
-        record("difference_identity", identity_worst, 1e-9)
-        record("asymmetry", asym_worst, 1e-9)
-        record("averaged_state", averaged_worst, 1e-10)
-        record("correlation_reconstruction", reconstruct_worst, 1e-10)
+            _validated_spectra(avg)
+            rebuilt = _reconstruct_arrays(_gamma_arrays(joints, reduced_a, reduced_b), reduced_a, reduced_b)
+            _validated_spectra(rebuilt)
+            worst = np.maximum(worst, [
+                max(cols["residual_ab"].max(), cols["residual_ba"].max()),
+                cols["asymmetry_residual"].max(),
+                _max_norm(avg - _kron(np.eye(d) / d, reduced_b)),
+                _max_norm(rebuilt - joints),
+            ])
+        names = ("difference_identity", "asymmetry", "averaged_state", "correlation_reconstruction")
+        for name, residual, tolerance in zip(names, worst.tolist(), (1e-9, 1e-9, 1e-10, 1e-10)):
+            record(name, residual, tolerance)
 
     ok = all(c["pass"] for c in checks)
     if args.format == "csv":
@@ -417,8 +454,8 @@ def _parse_decoder(spec: str):
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ParseError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ParseError(f"--trials must be in 1..{MAX_TRIALS:,}, got {args.trials}")
     if args.protocol == "quantum":
         s = _as_bipartite(load_state(args.state or "bell"), args.dims)
         if args.ensemble:
@@ -457,9 +494,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_entanglement(args) -> int:
     _check_tol(args.tol)
-    if args.restarts < 1:
-        raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        raise ParseError(f"--restarts must be in 1..{MAX_RESTARTS:,}, got {args.restarts}")
     s = _as_bipartite(load_state(args.state), args.dims)
+    # no state needs more than (d_A d_B)^2 pure terms (Caratheodory)
+    if args.m is not None and args.m > s.joint.dim**2:
+        raise ParseError(f"--m must be at most {s.joint.dim**2} for this state, got {args.m}")
     result = ent.convex_roof(s, m=args.m, restarts=args.restarts, tol=args.tol, seed=args.seed)
     record = result.to_json()
     payload = {
@@ -496,8 +536,15 @@ def cmd_entanglement(args) -> int:
     return 0 if ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ParseError: one `error:` line, exit 3."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="densecap",
         description="Noiseless-channel capacities with and without dense coding.",
     )
@@ -550,17 +597,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.seed < 0:
             raise ParseError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (ParseError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a missing or unreadable file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except DenseCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -13,12 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameNotOrthonormal, InvalidDimension, ParseError
-from .qstate import PAULI_X, PAULIS, BlochVector
+from .errors import DimensionMismatch, FrameNotOrthonormal, InvalidDimension, InvalidEnsemble, ParseError
+from .qstate import PAULI_X, PAULI_Y, PAULI_Z, PAULIS, BlochVector
 
 FRAME_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 GRAM_TOL = 1e-10
+
+
+def _check_frames(rows: np.ndarray) -> None:
+    """Raise FrameNotOrthonormal unless every (..., 3, 3) stack of rows n1, n2, n3 is a frame."""
+    cols = rows.swapaxes(-1, -2)
+    if not np.max(np.abs(rows @ cols - np.eye(3))) <= FRAME_TOL:
+        raise FrameNotOrthonormal("vectors are not orthonormal within 1e-12")
+    # completeness sum_k n_k n_k^T = 1 (columns orthonormal too)
+    if not np.max(np.abs(cols @ rows - np.eye(3))) <= FRAME_TOL:
+        raise FrameNotOrthonormal("completeness relation fails within 1e-12")
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,12 +48,7 @@ class OrthonormalFrame:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
             rows.append(arr)
-        m = np.stack(rows)
-        if np.max(np.abs(m @ m.T - np.eye(3))) > FRAME_TOL:
-            raise FrameNotOrthonormal("vectors are not orthonormal within 1e-12")
-        # completeness sum_k n_k n_k^T = 1 (columns orthonormal too)
-        if np.max(np.abs(m.T @ m - np.eye(3))) > FRAME_TOL:
-            raise FrameNotOrthonormal("completeness relation fails within 1e-12")
+        _check_frames(np.stack(rows))
 
     @classmethod
     def standard(cls) -> "OrthonormalFrame":
@@ -70,15 +75,15 @@ class EncodingEnsemble:
             m = np.asarray(u, dtype=complex)
             if m.shape != (d, d):
                 raise DimensionMismatch(f"unitary {a} has shape {m.shape}, expected ({d}, {d})")
-            if np.max(np.abs(m.conj().T @ m - eye)) > UNITARITY_TOL:
-                raise ValueError(f"matrix {a} is not unitary within 1e-12")
+            if not np.max(np.abs(m.conj().T @ m - eye)) <= UNITARITY_TOL:
+                raise InvalidEnsemble(f"matrix {a} is not unitary within 1e-12")
             m.setflags(write=False)
             us.append(m)
         p = np.asarray(self.prior, dtype=float).reshape(-1)
         if p.shape != (len(us),):
-            raise ValueError("prior length does not match the number of unitaries")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("prior must be non-negative and sum to 1 within 1e-12")
+            raise InvalidEnsemble("prior length does not match the number of unitaries")
+        if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
+            raise InvalidEnsemble("prior must be non-negative and sum to 1 within 1e-12")
         p.setflags(write=False)
         object.__setattr__(self, "unitaries", tuple(us))
         object.__setattr__(self, "prior", p)
@@ -119,10 +124,16 @@ def canonical_qubit_set(frame: OrthonormalFrame) -> EncodingEnsemble:
     Uniform prior 1/4; each n_k.sigma is Hermitian and unitary, and the
     set averages any qubit state to the total mixture.
     """
-    us = [np.eye(2, dtype=complex)]
-    for n in (frame.n1, frame.n2, frame.n3):
-        us.append(n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2])
-    return EncodingEnsemble(2, tuple(us), np.full(4, 0.25))
+    return EncodingEnsemble(2, tuple(_qubit_set_stack(frame.rows())), np.full(4, 0.25))
+
+
+def _qubit_set_stack(rows: np.ndarray) -> np.ndarray:
+    """canonical_qubit_set's unitaries (..., 4, 2, 2) for a stack (..., 3, 3) of frame rows, checked."""
+    _check_frames(rows)
+    n = rows[..., None, None]
+    sigma = n[..., 0, :, :] * PAULI_X + n[..., 1, :, :] * PAULI_Y + n[..., 2, :, :] * PAULI_Z
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (*sigma.shape[:-3], 1, 2, 2))
+    return np.concatenate([eye, sigma], axis=-3)
 
 
 def antipodal_pair(v: BlochVector | tuple[float, float, float]) -> EncodingEnsemble:
@@ -246,8 +257,10 @@ def ensemble_from_json(obj: dict) -> EncodingEnsemble:
             if arr.shape != (d, d, 2):
                 raise ParseError(f"unitary shape {arr.shape} does not match dim {d}")
             us.append(arr[..., 0] + 1j * arr[..., 1])
+        if not us:
+            raise ParseError("ensemble JSON needs at least one unitary")
         prior = obj.get("prior")
         p = np.full(len(us), 1.0 / len(us)) if prior is None else np.asarray(prior, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad ensemble JSON: {exc}") from None
     return EncodingEnsemble(d, tuple(us), p)

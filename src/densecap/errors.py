@@ -45,5 +45,9 @@ class InvalidTrials(DenseCapError):
     """A simulation was requested with a non-positive trial count."""
 
 
+class InvalidEnsemble(DenseCapError, ValueError):
+    """Encoding unitaries that are not unitary, or a prior that is not a distribution."""
+
+
 class ParseError(DenseCapError):
     """Input file or argument could not be parsed."""

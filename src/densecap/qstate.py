@@ -249,17 +249,7 @@ class BipartiteState:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        # imported here: encodings depends on qstate for BlochVector
-        from .encodings import gellmann_basis
-
-        d_a, d_b = self.dims
-        basis_a = np.stack(gellmann_basis(d_a).lambdas)
-        basis_b = np.stack(gellmann_basis(d_b).lambdas)
-        delta = self.joint.matrix - np.kron(self.reduced_a.matrix, self.reduced_b.matrix)
-        four = delta.reshape(d_a, d_b, d_a, d_b)
-        # Tr[(L_c x L_d) delta] = sum_{ijkl} (L_c)_{ij} (L_d)_{kl} delta_{(j,l),(i,k)}
-        g = np.einsum("cij,dkl,jlik->cd", basis_a, basis_b, four)
-        return np.real(g) / (d_a * d_b)
+        return _gamma_arrays(self.joint.matrix, self.reduced_a.matrix, self.reduced_b.matrix)
 
     @classmethod
     def from_pure(cls, vec: np.ndarray, dims: tuple[int, int]) -> "BipartiteState":
@@ -287,14 +277,38 @@ def correlation_decompose(s: BipartiteState) -> np.ndarray:
 
 def correlation_reconstruct(s: BipartiteState) -> DensityMatrix:
     """Rebuild rho_AB from the reductions and gamma (inverse of the expansion)."""
+    return DensityMatrix(_reconstruct_arrays(s.gamma, s.reduced_a.matrix, s.reduced_b.matrix))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the matrices in the last two axes of broadcastable stacks."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n = a.shape[-1] * b.shape[-1]
+    return out.reshape(*out.shape[:-4], n, n)
+
+
+def _bases(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    # imported here: encodings depends on qstate for BlochVector
     from .encodings import gellmann_basis
 
-    d_a, d_b = s.dims
-    basis_a = np.stack(gellmann_basis(d_a).lambdas)
-    basis_b = np.stack(gellmann_basis(d_b).lambdas)
-    corr = np.einsum("cd,cij,dkl->ikjl", s.gamma, basis_a, basis_b)
-    total = np.kron(s.reduced_a.matrix, s.reduced_b.matrix) + corr.reshape(s.joint.dim, s.joint.dim)
-    return DensityMatrix(total)
+    return np.stack(gellmann_basis(d_a).lambdas), np.stack(gellmann_basis(d_b).lambdas)
+
+
+def _gamma_arrays(joint: np.ndarray, reduced_a: np.ndarray, reduced_b: np.ndarray) -> np.ndarray:
+    """BipartiteState.gamma of a stack (..., D, D) of joint matrices and their reductions."""
+    d_a, d_b = reduced_a.shape[-1], reduced_b.shape[-1]
+    basis_a, basis_b = _bases(d_a, d_b)
+    four = (joint - _kron(reduced_a, reduced_b)).reshape(*joint.shape[:-2], d_a, d_b, d_a, d_b)
+    # Tr[(L_c x L_d) delta] = sum_{ijkl} (L_c)_{ij} (L_d)_{kl} delta_{(j,l),(i,k)}
+    g = np.einsum("cij,dkl,...jlik->...cd", basis_a, basis_b, four)
+    return np.real(g) / (d_a * d_b)
+
+
+def _reconstruct_arrays(gamma: np.ndarray, reduced_a: np.ndarray, reduced_b: np.ndarray) -> np.ndarray:
+    """rho_A x rho_B + sum_cd gamma[c, d] L_c x L_d for stacks, unvalidated."""
+    d_a, d_b = reduced_a.shape[-1], reduced_b.shape[-1]
+    corr = np.einsum("...cd,cij,dkl->...ikjl", gamma, *_bases(d_a, d_b))
+    return _kron(reduced_a, reduced_b) + corr.reshape(*gamma.shape[:-2], d_a * d_b, d_a * d_b)
 
 
 def pure_state(vec: np.ndarray) -> DensityMatrix:
@@ -390,7 +404,7 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
         try:
             dim = int(obj["dim"])
             m = _matrix_from_json(obj["matrix"], dim)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad matrix entries: {exc}") from None
         return DensityMatrix(m)
     raise ParseError("state JSON needs 'matrix', 'bloch', or 'tensor'")

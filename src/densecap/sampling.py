@@ -29,8 +29,13 @@ def random_density_matrix(d: int, rng: np.random.Generator, rank: int | None = N
     """Random mixed state G G^dag / Tr(G G^dag) with G complex Gaussian d x rank."""
     r = d if rank is None else int(rank)
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(_ginibre_states(g))
+
+
+def _ginibre_states(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for a stack (..., d, r) of complex matrices, unvalidated."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_bipartite_state(
@@ -44,7 +49,11 @@ def random_orthonormal_frame(rng: np.random.Generator):
     """Random orthonormal triple of real 3-vectors (rows of a random rotation)."""
     from .encodings import OrthonormalFrame
 
-    g = rng.standard_normal((3, 3))
+    return OrthonormalFrame(*_frame_rows(rng.standard_normal((3, 3))))
+
+
+def _frame_rows(g: np.ndarray) -> np.ndarray:
+    """Rows n1, n2, n3 of Q in g = QR (R's diagonal made positive) for a stack (..., 3, 3)."""
     q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return OrthonormalFrame(q[:, 0], q[:, 1], q[:, 2])
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q.swapaxes(-1, -2)

@@ -146,6 +146,93 @@ class TestVerifyCommand:
         assert all(line.endswith("True") for line in lines[1:])
 
 
+def reference_verify(d: int, samples: int, seed: int) -> str:
+    """stdout of `verify --d d`, computed sample by sample from the library."""
+    from densecap.cli import _capacity_row, _jsonable
+    from densecap.encodings import (
+        canonical_qubit_set, gellmann_basis, lift_ensemble, verify_orthogonality, weyl_set,
+    )
+    from densecap.qstate import correlation_reconstruct
+    from densecap.sampling import (
+        random_bipartite_state, random_density_matrix, random_orthonormal_frame,
+    )
+
+    def twirl_residual(e, rho):
+        stack = np.stack(e.unitaries)
+        avg = np.einsum("a,aij,jk,alk->il", e.prior, stack, rho, stack.conj())
+        return float(np.linalg.norm(avg - np.eye(e.dim) / e.dim))
+
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    def record(name, residual, tolerance):
+        checks.append({"check": name, "max_residual": residual, "tolerance": tolerance, "pass": residual < tolerance})
+
+    if d == 2:
+        worst = 0.0
+        for _ in range(samples):
+            e = canonical_qubit_set(random_orthonormal_frame(rng))
+            worst = max(worst, twirl_residual(e, random_density_matrix(2, rng).matrix))
+        record("frame_twirl", worst, 1e-12)
+    weyl = weyl_set(d)
+    gram, _ = verify_orthogonality(weyl)
+    record("weyl_gram", float(np.max(np.abs(d * gram - d * np.eye(len(weyl))))), 1e-12)
+    states = [random_density_matrix(d, rng).matrix for _ in range(samples)]
+    record("weyl_twirl", max(twirl_residual(weyl, rho) for rho in states), 1e-10)
+    basis = np.stack(gellmann_basis(d).lambdas)
+    basis_gram = np.einsum("aij,bji->ab", basis, basis)
+    record("gellmann_orthogonality", float(np.max(np.abs(basis_gram - d * np.eye(d * d - 1)))), 1e-12)
+    identity = asym = averaged = rebuilt = 0.0
+    for _ in range(samples):
+        s = random_bipartite_state((d, d), rng)
+        row = _capacity_row(s)
+        identity = max(identity, row["residual_ab"], row["residual_ba"])
+        asym = max(asym, row["asymmetry_residual"])
+        sender = canonical_qubit_set(random_orthonormal_frame(rng)) if d == 2 else weyl
+        avg = cap.average_state(lift_ensemble(sender, d, "a"), s.joint)
+        expected = np.kron(np.eye(d) / d, s.reduced_b.matrix)
+        averaged = max(averaged, float(np.linalg.norm(avg.matrix - expected)))
+        rebuilt = max(rebuilt, float(np.linalg.norm(correlation_reconstruct(s).matrix - s.joint.matrix)))
+    record("difference_identity", identity, 1e-9)
+    record("asymmetry", asym, 1e-9)
+    record("averaged_state", averaged, 1e-10)
+    record("correlation_reconstruction", rebuilt, 1e-10)
+    payload = {
+        "command": "verify", "d": d, "samples": samples, "seed": seed, "checks": checks,
+        "pass": all(c["pass"] for c in checks),
+    }
+    return json.dumps(_jsonable(payload), indent=2) + "\n"
+
+
+class TestBlockedVerify:
+    # 300 samples span a full block and a partial one
+    @pytest.mark.parametrize("samples", [1, 20, 300])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_per_sample_reference(self, capsys, d, seed, samples):
+        code, out = run(capsys, ["verify", "--d", str(d), "--samples", str(samples), "--seed", str(seed)])
+        assert code == 0
+        assert out == reference_verify(d, samples, seed)
+
+    def test_memory_flat_in_samples(self, capsys):
+        import tracemalloc
+
+        from densecap.cli import VERIFY_BLOCK
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert main(["verify", "--d", "4", "--samples", str(samples), "--seed", "3"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        main(["verify", "--d", "4", "--samples", "1"])  # fill the basis caches first
+        one, four = peak(VERIFY_BLOCK), peak(4 * VERIFY_BLOCK)
+        assert four <= 1.5 * one, (one, four)
+
+
 class TestSimulateCommand:
     def test_quantum_default_bell(self, capsys):
         code, payload = run_json(capsys, [
@@ -347,6 +434,78 @@ class TestErrorPaths:
         assert main(["capacity", "--state", "werner", "--sweep", "0:1:1e-12"]) == 3
         assert main(["capacity", "--state", "werner", "--sweep", "0:1:1e-6"]) == 3
         assert main(["capacity", "--state", "werner", "--sweep=-1e308:1e308:1"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["verify", "--samples", "1000001"], "_gaussian_blocks"),
+            (["verify", "--samples", "100000000"], "_gaussian_blocks"),
+            (["simulate", "--trials", "10000000001"], "load_state"),
+            (["simulate", "--protocol", "classical", "--trials", "99999999999999999999"], "sim.run_classical_dense"),
+            (["capacity", "--state", "max-entangled:11"], "max_entangled_state"),
+            (["capacity", "--state", "max-entangled:1000"], "max_entangled_state"),
+            (["entanglement", "--restarts", "1001"], "load_state"),
+            (["entanglement", "--restarts", "100000000"], "load_state"),
+            (["entanglement", "--state", "werner:0.8", "--m", "17"], "ent.convex_roof"),
+            (["entanglement", "--state", "werner:0.8", "--m", "100000000"], "ent.convex_roof"),
+        ],
+    )
+    def test_size_caps_exit_3_before_allocation(self, capsys, monkeypatch, argv, stage):
+        import densecap.cli as cli
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError(f"{stage} reached")
+
+        owner, _, name = stage.rpartition(".")
+        monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, no_alloc)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_largest_sizes_accepted(self, capsys):
+        from densecap.cli import MAX_DIM
+
+        assert main(["capacity", "--state", f"max-entangled:{MAX_DIM}"]) == 0
+        assert main(["entanglement", "--state", "werner:0.8", "--m", "16", "--restarts", "2"]) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize(
+        "ensemble, code",
+        [
+            ({"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}, 4),
+            ({"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "prior": [0.5]}, 4),
+            ({"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "prior": [float("nan")]}, 4),
+            ({"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 2, "prior": [1.5, -0.5]}, 4),
+            ({"dim": 2, "unitaries": []}, 3),
+            ({"dim": float("inf"), "unitaries": [[[[1, 0]]]]}, 3),
+        ],
+        ids=["non-unitary", "prior-length", "nan-prior", "negative-prior", "empty", "infinite-dim"],
+    )
+    def test_bad_ensemble_one_line_error(self, capsys, tmp_path, command, ensemble, code):
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(ensemble))
+        argv = [command, "--ensemble", str(path)]
+        argv += ["--samples", "5"] if command == "verify" else ["--trials", "5"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--samples", "abc"], ["capacity", "--tol"], ["nonsense"], [], ["simulate", "--protocol", "x"]],
+        ids=["non-numeric", "missing-value", "unknown-command", "no-command", "bad-choice"],
+    )
+    def test_malformed_command_line_exit_3(self, capsys, argv):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_directory_out_exit_3(self, capsys, tmp_path):
+        assert main(["capacity", "--state", "bell", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_largest_sweep_accepted(self):
         from densecap.cli import MAX_SWEEP_POINTS, _parse_sweep

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from densecap import (
+    DenseCapError,
     EncodingEnsemble,
     FrameNotOrthonormal,
     InvalidDimension,
+    InvalidEnsemble,
     OrthonormalFrame,
     ParseError,
     antipodal_pair,
@@ -273,6 +275,13 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             EncodingEnsemble(2, (np.eye(2), PAULI_X), np.array([1.5, -0.5]))
 
+    def test_invalid_ensemble_is_a_toolkit_error(self):
+        with pytest.raises(InvalidEnsemble):
+            EncodingEnsemble(2, (np.full((2, 2), np.nan),), np.array([1.0]))
+        with pytest.raises(InvalidEnsemble):
+            EncodingEnsemble(2, (np.eye(2),), np.array([np.nan]))
+        assert issubclass(InvalidEnsemble, DenseCapError)
+
     def test_lift_acts_on_chosen_side(self):
         e = antipodal_pair((0, 0, 1))
         left = lift_ensemble(e, 3, side="a")
@@ -294,3 +303,5 @@ class TestEnsemble:
             ensemble_from_json({"dim": 2})
         with pytest.raises(ParseError):
             ensemble_from_json({"dim": 2, "unitaries": [[[1, 0], [0, 1]]]})
+        with pytest.raises(ParseError):
+            ensemble_from_json({"dim": 2, "unitaries": []})

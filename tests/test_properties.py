@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) of the toolkit's invariants."""
 
+import contextlib
+import io
+import json
 import math
 from unittest import mock
 
@@ -14,7 +17,9 @@ from densecap import (  # noqa: E402
     ClassicalJointState,
     OrthonormalFrame,
     SingleParticleDecoder,
+    average_state,
     canonical_qubit_set,
+    ensemble_to_json,
     dense_capacity,
     max_entangled_state,
     mutual_information,
@@ -26,8 +31,13 @@ from densecap import (  # noqa: E402
     weyl_set,
     werner_state,
 )
+from densecap.cli import main  # noqa: E402
 from densecap.encodings import EncodingEnsemble  # noqa: E402
-from densecap.sampling import random_bipartite_state  # noqa: E402
+from densecap.sampling import (  # noqa: E402
+    random_bipartite_state,
+    random_density_matrix,
+    random_orthonormal_frame,
+)
 
 
 # the residual tolerance of `densecap capacity` (--tol default) and `verify`
@@ -80,3 +90,115 @@ def test_capacity_identities_on_every_split(d_a, d_b, seed, data):
     assert abs(c_ba - normal_capacity(s.reduced_b) - mi) < IDENTITY_TOL
     # asymmetry identity: C(A->B) - C(B->A) = log2 d_A - log2 d_B + S(B) - S(A)
     assert abs((c_ab - c_ba) - (math.log2(d_a) - math.log2(d_b) + s_b - s_a)) < IDENTITY_TOL
+
+
+# the twirl tolerances of `densecap verify`: frame_twirl and weyl_twirl
+FRAME_TWIRL_TOL = 1e-12
+WEYL_TWIRL_TOL = 1e-10
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1), rank=st.integers(min_value=1, max_value=2))
+def test_random_frame_twirl_is_maximally_mixed(seed, rank):
+    rng = np.random.default_rng(seed)
+    e = canonical_qubit_set(random_orthonormal_frame(rng))
+    rho = random_density_matrix(2, rng, rank=rank)
+    assert np.linalg.norm(average_state(e, rho).matrix - np.eye(2) / 2) < FRAME_TWIRL_TOL
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    data=st.data(),
+)
+def test_weyl_twirl_is_maximally_mixed(d, seed, data):
+    rank = data.draw(st.integers(min_value=1, max_value=d), label="rank")
+    rho = random_density_matrix(d, np.random.default_rng(seed), rank=rank)
+    assert np.linalg.norm(average_state(weyl_set(d), rho).matrix - np.eye(d) / d) < WEYL_TWIRL_TOL
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    """Input files for the malformed-argv property, by name."""
+    root = tmp_path_factory.mktemp("argv")
+    qubit_id = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    contents = {
+        "broken": "{not json",
+        "nan-state": '{"dim": 2, "matrix": [[[0.5, 0], [NaN, 0]], [[NaN, 0], [0.5, 0]]]}',
+        "state": json.dumps({"dim": 4, "matrix": np.stack([np.eye(4) / 4, np.zeros((4, 4))], -1).tolist()}),
+        "non-unitary": json.dumps({"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}),
+        "bad-prior": json.dumps({"dim": 2, "unitaries": [qubit_id], "prior": [0.5]}),
+        "empty-ensemble": json.dumps({"dim": 2, "unitaries": []}),
+        "infinite-dim": json.dumps({"dim": float("inf"), "unitaries": [qubit_id]}),
+        "weyl2": json.dumps(ensemble_to_json(weyl_set(2))),
+    }
+    out = {"dir": str(root), "missing": str(root / "missing.json")}
+    for name, text in contents.items():
+        (root / f"{name}.json").write_text(text)
+        out[name] = str(root / f"{name}.json")
+    return out
+
+
+# every value a flag may take in the property: mostly malformed, plus small
+# valid ones (at most 20 samples, trials or restarts) that let other flags reach
+# the program; a leading "@" names a file of the paths fixture
+BAD_INTS = ["abc", "", "nan", "inf", "1e3", "-1", "0", "99999999999999999999"]
+BAD_FLOATS = ["abc", "nan", "inf", "-inf", "0", "-1e-9"]
+STATES = [
+    "bell", "werner:0.8", "werner:nan", "werner:2", "werner:x", "max-entangled:1", "max-entangled:0",
+    "max-entangled:11", "max-entangled:1000", "max-entangled:abc", "bloch:nan,0,0", "bloch:1,1",
+    "bloch:2,0,0", "bloch:0,0,1", "@dir", "@missing", "@broken", "@nan-state", "@state",
+]
+DIMS = ["1,4", "4,1", "0,0", "-2,-2", "2", "a,b", "nan,nan", "2,2", "3,3"]
+ENSEMBLES = ["@dir", "@missing", "@broken", "@non-unitary", "@bad-prior", "@empty-ensemble", "@infinite-dim", "@weyl2"]
+COMMON = {"--seed": ["-1", "abc", "nan", "0", "3"], "--format": ["json", "csv", "xml"], "--out": ["@dir"]}
+COMMANDS = {
+    "capacity": {
+        "--state": STATES, "--dims": DIMS, "--tol": [*BAD_FLOATS, "1e-9"],
+        "--sweep": ["0:1", "0:nan:0.1", "0:1:0", "1:0:0.1", "0:1:1e-12", "a:b:c", "-1e308:1e308:1", "0:1:0.5"],
+        "--direction": ["a2b", "b2a", "x"], "--cross-check": None,
+    },
+    "verify": {
+        "--d": ["1", "-1", "7", "1000", "nan", "abc", "2", "3"],
+        "--samples": [*BAD_INTS, "1000001", "100000000", "1", "20"], "--ensemble": ENSEMBLES,
+    },
+    "simulate": {
+        "--protocol": ["quantum", "classical", "x"], "--state": STATES, "--dims": DIMS, "--ensemble": ENSEMBLES,
+        "--decoder": ["bell", "teleport", "single:w", "single:x"],
+        "--trials": [*BAD_INTS, "1", "20"],
+        "--joint": ["nan,0,0,1", "inf,0,0,1", "0.3,0.3,0.3,0.3", "1,2", "a,b,c,d", "0.25,0.25,0.25,0.25"],
+        "--no-use-key": None,
+    },
+    "entanglement": {
+        "--state": STATES, "--dims": DIMS, "--m": [*BAD_INTS, "3", "4", "17", "100000000"],
+        "--restarts": [*BAD_INTS, "1001", "100000000", "1", "2"], "--tol": [*BAD_FLOATS, "1e-6"],
+        "--show-decomposition": None,
+    },
+}
+# small valid counts, used unless the example overrides them
+BASE = {"verify": ["--samples", "20"], "simulate": ["--trials", "20"], "entanglement": ["--restarts", "2"]}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_malformed_argv_one_line_error(paths, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    flags = {**COMMANDS[command], **COMMON}
+    argv = [command, *BASE.get(command, [])]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4), label="flags"):
+        if flags[flag] is None:
+            argv.append(flag)
+            continue
+        value = data.draw(st.sampled_from(flags[flag]), label=flag)
+        argv.append(f"{flag}={paths[value[1:]] if value.startswith('@') else value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in range(5), argv
+    assert "Traceback" not in err
+    if code >= 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)

@@ -28,6 +28,7 @@ from densecap import (
     weyl_set,
     werner_state,
 )
+from densecap.capacity import _divergence_hessian, _divergences
 from densecap.sampling import (
     random_bipartite_state,
     random_density_matrix,
@@ -140,29 +141,51 @@ class TestRelativeEntropy:
         assert relative_entropy(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
-def reference_blahut_arimoto(states, tol: float):
-    """Per-state loop of the optimizer's update, independent of capacity.py.
+def _reference_point(mats, neg_s, pi):
+    """Every D(rho_a || avg) and chi at prior pi, each from its own loop.
 
-    Every divergence comes from its own eigendecompositions:
-    D(rho || avg) = sum lam log2 lam - sum_i <v_i|rho|v_i> log2 mu_i.
+    D(rho || avg) = sum lam log2 lam - sum_i <v_i|rho|v_i> log2 mu_i, with
+    neg_s[a] = sum lam log2 lam of rho_a.
+    """
+    avg = sum(p * m for p, m in zip(pi, mats))
+    mu, vecs = np.linalg.eigh(avg)
+    div = np.array([
+        first - sum(
+            np.real(vecs[:, i].conj() @ m @ vecs[:, i]) * math.log2(mu[i])
+            for i in range(len(mu)) if mu[i] > 1e-12
+        )
+        for m, first in zip(mats, neg_s)
+    ])
+    chi = -sum(x * math.log2(x) for x in mu if x > 0) + float(pi @ neg_s)
+    return div, chi
+
+
+def _neg_entropies(mats):
+    return np.array([float(np.sum([x * math.log2(x) for x in np.linalg.eigvalsh(m) if x > 0])) for m in mats])
+
+
+def reference_gap(states, prior) -> float:
+    """Capacity gap max_a D(rho_a || avg) - chi at prior, per state, independent of capacity.py."""
+    mats = [s.matrix for s in states]
+    div, chi = _reference_point(mats, _neg_entropies(mats), np.asarray(prior))
+    return float(div.max()) - chi
+
+
+def reference_blahut_arimoto(states, tol: float, max_iter: int | None = None):
+    """Per-state loop of the Blahut-Arimoto update, independent of capacity.py.
+
+    Every divergence comes from its own eigendecompositions (_reference_point).
+    BA's chi never decreases and never exceeds the capacity, so a run cut
+    at max_iter still returns a lower bound on it.
     """
     mats = [s.matrix for s in states]
-    neg_s = [float(np.sum([x * math.log2(x) for x in np.linalg.eigvalsh(m) if x > 0])) for m in mats]
+    neg_s = _neg_entropies(mats)
     pi = np.full(len(mats), 1.0 / len(mats))
     iterations = 0
     while True:
         iterations += 1
-        avg = sum(p * m for p, m in zip(pi, mats))
-        mu, vecs = np.linalg.eigh(avg)
-        div = np.array([
-            first - sum(
-                np.real(vecs[:, i].conj() @ m @ vecs[:, i]) * math.log2(mu[i])
-                for i in range(len(mu)) if mu[i] > 1e-12
-            )
-            for m, first in zip(mats, neg_s)
-        ])
-        chi = -sum(x * math.log2(x) for x in mu if x > 0) + float(pi @ neg_s)
-        if div.max() - chi < tol:
+        div, chi = _reference_point(mats, neg_s, pi)
+        if div.max() - chi < tol or iterations == max_iter:
             return chi, pi, iterations
         weights = pi * np.exp2(div - div.max())
         pi = weights / weights.sum()
@@ -173,8 +196,24 @@ class TestOptimizePrior:
     def test_matches_per_state_reference(self, d, n, seed):
         rng = np.random.default_rng(seed)
         states = [random_density_matrix(d, rng) for _ in range(n)]
+        report = optimize_prior(states, tol=1e-12)
+        chi, prior, _ = reference_blahut_arimoto(states, tol=1e-14)
+        assert report.converged
+        assert reference_gap(states, report.optimal_prior) < 1e-12
+        assert report.chi == pytest.approx(chi, abs=1e-12)
+        assert np.max(np.abs(report.optimal_prior - prior)) < 1e-12
+
+    def test_singular_kkt_falls_back_to_blahut_arimoto(self, monkeypatch):
+        # with every KKT solve failing, each step is a BA step: the reference's run exactly
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rng = np.random.default_rng(30)
+        states = [random_density_matrix(2, rng) for _ in range(3)]
         report = optimize_prior(states)
         chi, prior, iterations = reference_blahut_arimoto(states, tol=1e-9)
+        assert report.converged
         assert report.iterations == iterations
         assert report.chi == pytest.approx(chi, abs=1e-12)
         assert np.max(np.abs(report.optimal_prior - prior)) < 1e-12
@@ -228,10 +267,16 @@ class TestOptimizePrior:
 
     def test_chi_trace_monotone(self):
         rng = np.random.default_rng(9)
-        states = [random_density_matrix(2, rng) for _ in range(3)]
-        report = optimize_prior(states, tol=1e-11)
-        diffs = np.diff(report.chi_trace)
-        assert np.all(diffs > -1e-12)
+        ensembles = [[random_density_matrix(2, rng) for _ in range(3)]]
+        for d, n in ((2, 6), (4, 10), (8, 20)):
+            ensembles.append([random_density_matrix(d, rng, rank=rng.integers(1, d + 1)) for _ in range(n)])
+        for states in ensembles:
+            report = optimize_prior(states, tol=1e-11)
+            # one entry per evaluation of chi, ending at the reported chi
+            assert len(report.chi_trace) == report.iterations
+            assert report.chi_trace[-1] == report.chi
+            diffs = np.diff(report.chi_trace)
+            assert np.all(diffs > -1e-12)
 
     @pytest.mark.parametrize("n_states,seed", [(2, 10), (3, 11), (4, 12)])
     def test_matches_grid_search(self, n_states, seed):
@@ -271,10 +316,98 @@ class TestOptimizePrior:
         with pytest.raises(NoStates):
             optimize_prior([])
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0}]
+    )
+    def test_rejects_bad_tol_and_max_iter(self, kwargs):
+        states = [from_bloch((0, 0, 1)), from_bloch((0, 0, -1))]
+        with pytest.raises(ValueError):
+            optimize_prior(states, **kwargs)
+        with pytest.raises(ValueError):
+            dense_capacity_via_ensemble(bell_state(), "a2b", **kwargs)
+
+    # Blahut-Arimoto alone stops unconverged at its 100,000-iteration cap on the
+    # first ensemble and needs 27,111 iterations on the second, so a silent
+    # fall back to BA steps fails the budget
+    @pytest.mark.parametrize("seed,n", [(103, 28), (106, 20)])
+    def test_newton_finish_evaluation_budget(self, seed, n):
+        rng = np.random.default_rng(seed)
+        states = [random_density_matrix(8, rng) for _ in range(n)]
+        report = optimize_prior(states)
+        assert report.converged and report.iterations <= 400
+        assert reference_gap(states, report.optimal_prior) < 1e-9
+
     def test_mixed_dimensions(self):
         rng = np.random.default_rng(15)
         with pytest.raises(DimensionMismatch):
             optimize_prior([random_density_matrix(2, rng), random_density_matrix(3, rng)])
+
+
+def _traceless_hermitian(rng, d: int) -> np.ndarray:
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = (x + x.conj().T) / 2
+    x -= np.trace(x) / d * np.eye(d)
+    return x / np.abs(np.linalg.eigvalsh(x)).max()
+
+
+def _hessian_case(kind: str, d: int, rng):
+    """Signal states and a prior whose average state has the named spectrum."""
+    if kind == "generic":
+        mats = [random_density_matrix(d, rng).matrix for _ in range(d + 1)]
+        return np.stack(mats), rng.dirichlet(np.ones(d + 1))
+    if kind == "degenerate":
+        # (I +- 0.3 X) / d with uniform prior: sigma = I / d, all eigenvalues equal
+        xs = [0.3 * _traceless_hermitian(rng, d) for _ in range(2)]
+        mats = [(np.eye(d) + x) / d for x in xs] + [(np.eye(d) - x) / d for x in xs]
+        return np.stack(mats), np.full(4, 0.25)
+    if kind == "partly-degenerate":
+        # sigma = diag(0.4, 0.6 / (d - 1), ...): one eigenvalue d - 1 times
+        low = 0.6 / (d - 1)
+        xs = [_traceless_hermitian(rng, d) for _ in range(3)]
+        xs.append(-sum(xs))
+        scale = 0.5 * low / max(np.abs(np.linalg.eigvalsh(x)).max() for x in xs)
+        base = np.diag([0.4] + [low] * (d - 1))
+        return np.stack([base + scale * x for x in xs]), np.full(4, 0.25)
+    # rank-deficient: every state, and so sigma, lives on one 2-dim subspace
+    w = np.linalg.qr(rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))[0]
+    mats = [w @ random_density_matrix(2, rng).matrix @ w.conj().T for _ in range(3)]
+    return np.stack(mats), rng.dirichlet(np.ones(3))
+
+
+HESSIAN_CASES = [
+    (d, kind)
+    for d in (2, 3, 4)
+    for kind in ("generic", "degenerate", "partly-degenerate", "rank-deficient")
+    # a 2x2 spectrum with a repeated eigenvalue is already the degenerate case
+    if (d, kind) != (2, "partly-degenerate")
+]
+
+
+@pytest.mark.parametrize("d,kind", HESSIAN_CASES)
+def test_divergence_hessian_matches_central_differences(d, kind):
+    rng = np.random.default_rng(40 + d)
+    mats, prior = _hessian_case(kind, d, rng)
+    n = len(mats)
+    flat_t = mats.transpose(0, 2, 1).reshape(n, -1)
+    entropies = np.array([von_neumann_entropy(DensityMatrix(m)) for m in mats])
+
+    def divergences(p):
+        return _divergences(flat_t, entropies, np.einsum("a,aij->ij", p, mats))
+
+    _, mu, vecs = divergences(prior)
+    if kind == "degenerate":
+        assert np.ptp(mu) < 1e-15
+    if kind == "rank-deficient":
+        assert np.sum(mu > 1e-12) == 2
+    hessian = _divergence_hessian(mats, mu, vecs)
+    assert np.allclose(hessian, hessian.T, atol=1e-12)
+    eps = 1e-5
+    for _ in range(3):
+        delta = rng.standard_normal(n)
+        delta -= delta.mean()
+        central = (divergences(prior + eps * delta)[0] - divergences(prior - eps * delta)[0]) / (2 * eps)
+        predicted = hessian @ delta
+        assert np.max(np.abs(central - predicted)) < 1e-7 * np.max(np.abs(predicted))
 
 
 class TestClosedFormCapacities:

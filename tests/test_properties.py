@@ -24,6 +24,7 @@ from densecap import (  # noqa: E402
     max_entangled_state,
     mutual_information,
     normal_capacity,
+    optimize_prior,
     protosim,
     run_classical_dense,
     run_quantum_dense,
@@ -32,6 +33,7 @@ from densecap import (  # noqa: E402
     werner_state,
 )
 from densecap.cli import main  # noqa: E402
+from test_capacity import reference_blahut_arimoto, reference_gap  # noqa: E402
 from densecap.encodings import EncodingEnsemble  # noqa: E402
 from densecap.sampling import (  # noqa: E402
     random_bipartite_state,
@@ -95,6 +97,25 @@ def test_capacity_identities_on_every_split(d_a, d_b, seed, data):
 # the twirl tolerances of `densecap verify`: frame_twirl and weyl_twirl
 FRAME_TWIRL_TOL = 1e-12
 WEYL_TWIRL_TOL = 1e-10
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(d=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**63 - 1), data=st.data())
+def test_optimize_prior_is_certified(d, seed, data):
+    # random ensembles: 1..10 states of rank 1..d, drawn with repeats from a pool
+    n = data.draw(st.integers(min_value=1, max_value=10), label="n")
+    ranks = data.draw(st.lists(st.integers(min_value=1, max_value=d), min_size=n, max_size=n), label="ranks")
+    picks = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n), label="picks")
+    rng = np.random.default_rng(seed)
+    pool = [random_density_matrix(d, rng, rank=r) for r in ranks]
+    states = [pool[i] for i in picks]
+    tol = 1e-9
+    report = optimize_prior(states, tol=tol)
+    assert report.converged
+    assert np.all(report.optimal_prior >= 0.0) and abs(report.optimal_prior.sum() - 1.0) < 1e-12
+    assert reference_gap(states, report.optimal_prior) < tol
+    chi_ref, _, _ = reference_blahut_arimoto(states, tol, max_iter=2_000)
+    assert report.chi >= chi_ref - tol
 
 
 @settings(max_examples=40, deadline=None, database=None)

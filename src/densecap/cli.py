@@ -599,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.seed < 0:
-            raise ParseError(f"--seed must be >= 0, got {args.seed}")
+        if not 0 <= args.seed < 2**128:  # the range of a Philox key
+            raise ParseError(f"--seed must be in 0..2**128 - 1, got {args.seed}")
         return args.func(args)
     except (ParseError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

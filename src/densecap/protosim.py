@@ -7,10 +7,13 @@ analogue: a shared correlated bit pair with the message XORed onto the
 transmitted bit and optionally undone with the receiver's key bit.
 
 Randomness comes from the counter-based Philox generator keyed by the
-caller's seed; trial t consumes the two uniform variates at positions
-(2t, 2t + 1) of the stream, so any partition of the trial range -- the
-fixed blocks drawn here, or parallel executions -- reproduces the
-sequential count table exactly, and memory does not grow with trials.
+caller's seed; trial t reads the stream's 64-bit words 2t and 2t + 1 as
+the uniform variates (w >> 11) * 2**-53, so any partition of the trial
+range -- the fixed blocks drawn here, or parallel executions --
+reproduces the sequential count table exactly, and memory does not grow
+with trials.  The sampler is an exact guide-table inverse CDF (Chen &
+Asau 1974): the top bits of a word give its index unless a threshold
+splits their bucket.
 """
 
 from __future__ import annotations
@@ -104,23 +107,58 @@ class SingleParticleDecoder:
 _BLOCK_TRIALS = 65_536
 
 
-def _uniform_blocks(seed: int, trials: int):
-    """Yield (n, 2) uniforms for consecutive trial blocks of one Philox stream."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    for start in range(0, trials, _BLOCK_TRIALS):
-        yield gen.random((min(_BLOCK_TRIALS, trials - start), 2))
+def _guide_table(cum: np.ndarray, b: int) -> np.ndarray:
+    """Index #{t in cum[:-1] : t <= u} shared by all u in [h/2^b, (h+1)/2^b) (lo = hi), else -1."""
+    edges = np.arange((1 << b) + 1) * 2.0**-b
+    lo = np.searchsorted(cum[:-1], edges[:-1], side="right")
+    hi = np.searchsorted(cum[:-1], edges[1:], side="left")
+    return np.where(lo == hi, lo, -1)
 
 
-def _inverse_cdf(thresholds, u: np.ndarray) -> np.ndarray:
-    """Count the cumulative thresholds at or below each u, one column at a time.
+def _count_at_or_below(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """#{t <= u} for u = (w >> 11) * 2**-53; thresholds sorted and shared, or a row per word."""
+    u = (words >> 11) * 2.0**-53
+    if thresholds.ndim == 1:
+        return np.searchsorted(thresholds, u, side="right")
+    return np.sum(u[:, None] >= thresholds, axis=1)
 
-    Passing every cumulative entry but the last (forced to 1.0 > u) gives
-    searchsorted(cum, u, side="right") without clipping.
+
+def _sample_counts(
+    cum0: np.ndarray, cum_rows: np.ndarray, cell_of: np.ndarray, trials: int, seed: int
+) -> np.ndarray:
+    """Per-cell counts of `trials` two-stage inverse-CDF draws from one Philox stream.
+
+    Trial t reads words 2t, 2t + 1 as u0, u1: row i = #{cum0[:-1] <= u0} of
+    cum_rows, cell cell_of[i, #{cum_rows[i, :-1] <= u1}].  Cumulative arrays
+    end in 1.0; trials in a bucket a threshold splits take the compare-count.
     """
-    idx = np.zeros(u.shape, dtype=np.int64)
-    for t in thresholds:
-        idx += u >= t
-    return idx
+    # 2**b buckets, of which n - 1 thresholds split at most (n - 1) / 2**b <= 1/128,
+    # unless a level's table would pass 2**18 entries
+    n0, n1 = cum_rows.shape
+    b0 = max(1, min((128 * (n0 - 1)).bit_length(), 18))
+    b1 = max(1, min((128 * (n1 - 1)).bit_length(), 18 - (n0 - 1).bit_length()))
+    g0 = _guide_table(cum0, b0)
+    g0 = np.where(g0 < 0, -1, g0 << b1)  # row i as the high bits of i << b1 | h1
+    idx1 = np.stack([_guide_table(row, b1) for row in cum_rows])
+    i = np.arange(n0)[:, None]
+    tab1 = np.where(idx1 < 0, -1 - i, cell_of[i, idx1]).ravel()  # -1 - i: bucket h1 is split
+    split0, split1 = bool(np.any(g0 < 0)), bool(np.any(tab1 < 0))
+    counts = np.zeros(int(cell_of.max()) + 1, dtype=np.int64)
+    bitgen = np.random.Philox(key=seed)
+    for start in range(0, trials, _BLOCK_TRIALS):
+        w = bitgen.random_raw(2 * min(_BLOCK_TRIALS, trials - start))
+        idx = g0[(w[0::2] >> (64 - b0)).view(np.int64)]
+        if split0:
+            split = np.flatnonzero(idx < 0)
+            idx[split] = _count_at_or_below(cum0[:-1], w[2 * split]) << b1
+        idx |= (w[1::2] >> (64 - b1)).view(np.int64)
+        idx = tab1[idx]  # rebinding frees the keys now, not at the next draw
+        if split1:
+            split = np.flatnonzero(idx < 0)
+            rows = -1 - idx[split]
+            idx[split] = cell_of[rows, _count_at_or_below(cum_rows[rows, :-1], w[2 * split + 1])]
+        counts += np.bincount(idx, minlength=counts.size)
+    return counts
 
 
 def empirical_mutual_information(counts: np.ndarray) -> float:
@@ -155,23 +193,19 @@ def _outcome_distributions(
 ) -> np.ndarray:
     """Born-rule outcome probabilities q[a, b] for each message a."""
     d_a, d_b = s.dims
-    eye_b = np.eye(d_b, dtype=complex)
-    signals = [
-        np.kron(u, eye_b) @ s.joint.matrix @ np.kron(u, eye_b).conj().T for u in e.unitaries
-    ]
+    us = np.stack(e.unitaries)
     if isinstance(decoder, BellDecoder):
         if s.dims != (2, 2):
             raise DimensionMismatch(f"Bell decoder needs a 2x2 split, got {s.dims}")
-        basis = np.stack(
-            [_BELL_VECTORS["psi+"], _BELL_VECTORS["phi+"], _BELL_VECTORS["phi-"], _BELL_VECTORS["psi-"]]
-        )
-        q = np.stack([np.real(np.einsum("bi,ij,bj->b", basis.conj(), sig, basis)) for sig in signals])
+        basis = np.stack([_BELL_VECTORS[k] for k in ("psi+", "phi+", "phi-", "psi-")])
+        lifted = np.einsum("aik,jl->aijkl", us, np.eye(2)).reshape(len(us), 4, 4)
+        signals = lifted @ s.joint.matrix @ lifted.conj().swapaxes(1, 2)
+        q = np.real(np.einsum("bi,aij,bj->ab", basis.conj(), signals, basis))
     elif isinstance(decoder, SingleParticleDecoder):
         basis = _single_particle_basis(decoder, d_a)
-        q = np.empty((len(signals), d_a))
-        for a, sig in enumerate(signals):
-            reduced = np.einsum("ijkj->ik", sig.reshape(d_a, d_b, d_a, d_b))
-            q[a] = np.real(np.einsum("ib,ij,jb->b", basis.conj(), reduced, basis))
+        reduced = np.einsum("ijkj->ik", s.joint.matrix.reshape(d_a, d_b, d_a, d_b))
+        signals = us @ reduced @ us.conj().swapaxes(1, 2)
+        q = np.real(np.einsum("ib,aij,jb->ab", basis.conj(), signals, basis))
     else:
         raise TypeError(f"unknown decoder {decoder!r}")
     q = np.clip(q, 0.0, None)
@@ -202,13 +236,8 @@ def run_quantum_dense(
     cum_prior[-1] = 1.0
     cum_rows = np.cumsum(q, axis=1)
     cum_rows[:, -1] = 1.0
-
-    counts = np.zeros(n_msg * n_out, dtype=np.int64)
-    for u in _uniform_blocks(seed, trials):
-        messages = _inverse_cdf(cum_prior[:-1], u[:, 0])
-        outcomes = _inverse_cdf((col[messages] for col in cum_rows.T[:-1]), u[:, 1])
-        counts += np.bincount(messages * n_out + outcomes, minlength=counts.size)
-    counts = counts.reshape(n_msg, n_out)
+    cells = np.arange(n_msg * n_out).reshape(n_msg, n_out)
+    counts = _sample_counts(cum_prior, cum_rows, cells, trials, seed).reshape(n_msg, n_out)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)
 
 
@@ -227,13 +256,9 @@ def run_classical_dense(
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
     cum = np.cumsum(s.probabilities.reshape(-1))
     cum[-1] = 1.0
-    counts = np.zeros(4, dtype=np.int64)
-    for u in _uniform_blocks(seed, trials):
-        joint = _inverse_cdf(cum[:-1], u[:, 0])
-        j_a, j_b = joint >> 1, joint & 1
-        k = (u[:, 1] >= 0.5).astype(np.int64)
-        received = j_a ^ k
-        decoded = received ^ j_b if use_key else received
-        counts += np.bincount(k * 2 + decoded, minlength=4)
+    # rows are the joint values j = 2 j_A + j_B, columns the message bit k
+    j, k = np.arange(4)[:, None], np.arange(2)
+    decoded = (j >> 1) ^ k ^ (j & 1) if use_key else (j >> 1) ^ k
+    counts = _sample_counts(cum, np.tile([0.5, 1.0], (4, 1)), 2 * k + decoded, trials, seed)
     counts = counts.reshape(2, 2)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)

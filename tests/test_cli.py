@@ -353,6 +353,16 @@ class TestErrorPaths:
         assert main(["simulate", "--trials", "10", "--seed", "-1"]) == 3
         assert capsys.readouterr().err.startswith("error: --seed")
 
+    @pytest.mark.parametrize("argv", [["simulate", "--trials", "10"], ["verify", "--samples", "10"]])
+    def test_seed_beyond_philox_key_exit_3(self, capsys, argv):
+        assert main([*argv, "--seed", str(2**128)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed") and captured.err.count("\n") == 1
+
+    def test_largest_seed_accepted(self, capsys):
+        assert main(["simulate", "--trials", "10", "--seed", str(2**128 - 1)]) == 0
+
     @pytest.mark.parametrize("joint", ["nan,0,0,1", "inf,0,0,1", "0.3,0.3,0.3,0.3"])
     def test_bad_classical_joint_exit_4(self, capsys, joint):
         argv = ["simulate", "--protocol", "classical", "--joint", joint, "--trials", "1000"]

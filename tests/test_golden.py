@@ -2,7 +2,8 @@
 
 Each file under tests/data/golden/<name>.out holds the exact stdout of
 `densecap <argv>` run from that directory.  The files were written by
-the release before the batched Werner sweep, so a change to the
+the release before the batched Werner sweep, and the `simulate_*` files
+by the release before the guide-table sampler, so a change to the
 numerics or the formatting of these commands shows here as a byte diff.
 Regenerate a file only for a deliberate output change, and say so in
 the change log.
@@ -24,6 +25,19 @@ COMMANDS = {
     "werner_half": ["capacity", "--state", "werner:0.5"],
     "max_entangled_3": ["capacity", "--state", "max-entangled:3"],
     "cross_check_2x3": ["capacity", "--state", "state_2x3.json", "--dims", "2,3", "--cross-check"],
+    # 200,003 trials: three full 65,536-trial blocks and a partial one
+    "simulate_bell": ["simulate", "--decoder", "bell", "--trials", "200003", "--seed", "11"],
+    "simulate_single_z": ["simulate", "--decoder", "single:z", "--trials", "200003", "--seed", "12"],
+    "simulate_weyl3": [
+        "simulate", "--state", "max-entangled:3", "--decoder", "single:z", "--trials", "200003", "--seed", "13"
+    ],
+    "simulate_classical_keyed": [
+        "simulate", "--protocol", "classical", "--use-key", "--trials", "200003", "--seed", "14"
+    ],
+    "simulate_classical_no_key": [
+        "simulate", "--protocol", "classical", "--no-use-key", "--joint", "0.6,0.25,0,0.15",
+        "--trials", "200003", "--seed", "15",
+    ],
 }
 
 

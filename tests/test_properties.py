@@ -173,7 +173,12 @@ STATES = [
 ]
 DIMS = ["1,4", "4,1", "0,0", "-2,-2", "2", "a,b", "nan,nan", "2,2", "3,3"]
 ENSEMBLES = ["@dir", "@missing", "@broken", "@non-unitary", "@bad-prior", "@empty-ensemble", "@infinite-dim", "@weyl2"]
-COMMON = {"--seed": ["-1", "abc", "nan", "0", "3"], "--format": ["json", "csv", "xml"], "--out": ["@dir"]}
+COMMON = {
+    # 2**128 is the first seed that is not a Philox key
+    "--seed": ["-1", "abc", "nan", "0", "3", "340282366920938463463374607431768211456"],
+    "--format": ["json", "csv", "xml"],
+    "--out": ["@dir"],
+}
 COMMANDS = {
     "capacity": {
         "--state": STATES, "--dims": DIMS, "--tol": [*BAD_FLOATS, "1e-9"],

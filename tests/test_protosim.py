@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densecap import protosim
 from densecap import (
@@ -29,6 +30,7 @@ from densecap import (
 )
 from densecap.encodings import EncodingEnsemble
 from densecap.qstate import DensityMatrix
+from densecap.sampling import random_bipartite_state
 
 
 CANONICAL = canonical_qubit_set(OrthonormalFrame.standard())
@@ -260,6 +262,8 @@ QUANTUM_CASES = {
     "bell": (bell_state(), CANONICAL, BellDecoder()),
     "single-x": (werner_state(0.6), CANONICAL, SingleParticleDecoder("x")),
     "weyl3-skewed": (max_entangled_state(3), WEYL3_SKEWED, SingleParticleDecoder("z")),
+    # 100 messages with thresholds k/100 and 10 outcomes with thresholds k/10: both levels fall back
+    "weyl10": (max_entangled_state(10), weyl_set(10), SingleParticleDecoder("z")),
 }
 CLASSICAL_CASES = {
     "keyed": (ClassicalJointState.maximally_correlated(), True),
@@ -314,3 +318,110 @@ class TestBlockedSampler:
         peak_mb(1_000)  # first-call caches
         small, large = peak_mb(250_000), peak_mb(4_000_000)
         assert abs(large - small) < 1.0
+
+
+# cumulative thresholds: multiples of 1/256 lie on every bucket edge (b >= 8
+# whenever there is a threshold), their neighbours one ulp away lie just
+# inside a bucket, 1 + 2**-52 is a cumulative sum that rounded above 1, and
+# a small pool of values makes repeated thresholds (zero probabilities) likely
+THRESHOLDS = st.one_of(
+    st.integers(0, 256).map(lambda k: k / 256),
+    st.integers(1, 255).map(lambda k: float(np.nextafter(k / 256, 0.0))),
+    st.integers(1, 255).map(lambda k: float(np.nextafter(k / 256, 1.0))),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.0 + 2**-52]),
+)
+
+
+def cumulative(n: int):
+    return st.lists(THRESHOLDS, min_size=n - 1, max_size=n - 1).map(lambda t: np.append(np.sort(t), 1.0))
+
+
+def monolithic_kernel_counts(cum0, cum_rows, cell_of, trials, seed):
+    """Unblocked two-stage inverse CDF of the same stream, as in monolithic_quantum_counts."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
+    rows = np.minimum(np.searchsorted(cum0, u[:, 0], side="right"), cum0.size - 1)
+    cols = np.minimum(np.sum(u[:, 1, None] >= cum_rows[rows], axis=1), cum_rows.shape[1] - 1)
+    return np.bincount(cell_of[rows, cols], minlength=cell_of.max() + 1)
+
+
+class TestGuideTableSampler:
+    def test_fallback_counts_ties_like_searchsorted(self):
+        rng = np.random.default_rng(8)
+        thresholds = np.sort(rng.random(9))
+        # words whose variate (w >> 11) * 2**-53 equals a threshold, and random ones
+        on = (thresholds * 2.0**53).astype(np.uint64) << np.uint64(11)
+        words = np.concatenate([on, on + np.uint64(2**11 - 1), rng.integers(0, 2**64, 50, dtype=np.uint64)])
+        u = (words >> np.uint64(11)) * 2.0**-53
+        want = np.searchsorted(thresholds, u, side="right")
+        assert np.all(want[: thresholds.size] == np.arange(1, thresholds.size + 1))
+        per_word = np.broadcast_to(thresholds, (words.size, thresholds.size))
+        assert np.array_equal(protosim._count_at_or_below(thresholds, words), want)
+        assert np.array_equal(protosim._count_at_or_below(per_word, words), want)
+
+    def test_large_alphabet_within_table_budget(self):
+        # 5,000 rows: both levels' tables stop at 2**18 entries, and more trials fall back
+        rng = np.random.default_rng(5)
+        cum0 = np.append(np.sort(rng.random(4_999)), 1.0)
+        cum_rows = np.column_stack([np.sort(rng.random((5_000, 2)), axis=1), np.ones(5_000)])
+        cell_of = np.arange(15_000).reshape(5_000, 3)
+        tracemalloc.start()
+        try:
+            got = protosim._sample_counts(cum0, cum_rows, cell_of, 70_000, 9)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, monolithic_kernel_counts(cum0, cum_rows, cell_of, 70_000, 9))
+        assert peak_mb < 16.0
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        n0=st.integers(1, 100),
+        n1=st.integers(1, 12),
+        seed=st.integers(0, 2**128 - 1),
+        trials=st.integers(1, 20_000),
+        data=st.data(),
+    )
+    def test_tables_equal_monolithic(self, n0, n1, seed, trials, data):
+        cum0 = data.draw(cumulative(n0), label="cum0")
+        # rows from a small pool, so that many messages share one outcome row
+        pool = data.draw(st.lists(cumulative(n1), min_size=1, max_size=4), label="rows")
+        pick = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n0, max_size=n0), label="pick")
+        cum_rows = np.stack([pool[i] for i in pick])
+        cell_of = np.arange(n0 * n1).reshape(n0, n1)
+        got = protosim._sample_counts(cum0, cum_rows, cell_of, trials, seed)
+        assert np.array_equal(got, monolithic_kernel_counts(cum0, cum_rows, cell_of, trials, seed))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        d=st.integers(2, 10),
+        seed=st.integers(0, 2**63 - 1),
+        trials=st.integers(1, 20_000),
+        data=st.data(),
+    )
+    def test_quantum_equals_monolithic(self, d, seed, trials, data):
+        weights = data.draw(
+            st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3]), min_size=d * d, max_size=d * d)
+        )
+        prior = np.array(weights) + (sum(weights) == 0.0)  # all zero: uniform
+        e = EncodingEnsemble(d, weyl_set(d).unitaries, prior / prior.sum())
+        if data.draw(st.booleans(), label="maximally entangled"):
+            s = max_entangled_state(d)
+        else:
+            s = random_bipartite_state((d, 2), np.random.default_rng(seed))
+        decoder = SingleParticleDecoder("z")
+        got = run_quantum_dense(s, e, decoder, trials, seed).joint_counts
+        assert np.array_equal(got, monolithic_quantum_counts(s, e, decoder, trials, seed))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        cells=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.1, 0.3, 0.6]), min_size=4, max_size=4),
+        use_key=st.booleans(),
+        seed=st.integers(0, 2**128 - 1),
+        trials=st.integers(1, 20_000),
+    )
+    def test_classical_equals_monolithic(self, cells, use_key, seed, trials):
+        p = np.array(cells) + (sum(cells) == 0.0)  # all zero: uniform
+        joint = ClassicalJointState((p / p.sum()).reshape(2, 2))
+        got = run_classical_dense(joint, use_key, trials, seed).joint_counts
+        assert np.array_equal(got, monolithic_classical_counts(joint, use_key, trials, seed))

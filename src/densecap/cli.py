@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,26 +58,67 @@ MAX_RESTARTS = 1_000
 MAX_TRIALS = 10_000_000_000
 # verify draws and checks its random samples in blocks of this many
 VERIFY_BLOCK = 256
+# largest stacked intermediate of verify's averaged-state products (from
+# 256 KiB on, the chunks raised the peak RSS of `verify --d 3`)
+_AVERAGE_CHUNK_BYTES = 1 << 17
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        return float(_fmt(value))
-    if isinstance(value, (np.floating,)):
-        return float(_fmt(float(value)))
-    if isinstance(value, (np.integer,)):
-        return int(value)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    """x rounded to 12 significant digits, in the text json.dumps gives that float.
+
+    .12g already is the shortest round-trip text of the rounded value,
+    except where repr adds ".0" to an integer, writes 1e12 <= |x| < 1e16
+    in fixed notation, or shortens a subnormal.
+    """
+    text = "%.12g" % x
+    if "e" not in text:
+        return text if "." in text else _NONFINITE.get(text) or text + ".0"
+    if abs(x) >= sys.float_info.min and not 12 <= int(text[text.index("e") + 1 :]) < 16:
+        return text
+    return repr(float(text))
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), with every float written by _json_float.
+
+    numpy scalars and arrays are written as the Python numbers and lists
+    they convert to, tuples as lists; dict keys must be strings.
+    """
+    if type(value) is float:
+        return _json_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _json_float(float(value))
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
+        return _json_text(value.tolist(), indent)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -88,7 +130,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(_jsonable(payload), indent=2), out)
+    _emit(_json_text(payload), out)
 
 
 def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
@@ -352,6 +394,44 @@ def _ensemble_twirl_residual(e, rng: np.random.Generator, samples: int) -> float
     return worst
 
 
+def _lift_operands(lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two forms of a stack of n unitaries U_a (..., n, D, D) that
+    _averaged_states multiplies by: U as (..., j, (a i)), and conj(U) with
+    its last two axes swapped (a view)."""
+    n, dim = lifts.shape[-3:-1]
+    by_column = np.moveaxis(lifts, -1, -3).reshape(*lifts.shape[:-3], dim, n * dim)
+    return by_column, np.swapaxes(lifts.conj(), -1, -2)
+
+
+def _averaged_states(prior: np.ndarray, lifts: tuple[np.ndarray, np.ndarray], joints: np.ndarray) -> np.ndarray:
+    """sum_a prior_a U_a rho U_a^dag for every rho in a stack (s, D, D).
+
+    lifts is _lift_operands of one ensemble shared by every state, or of
+    one ensemble per state.  These are the three products that
+    np.einsum("a,aij,jk,alk->il", prior, U, rho, U.conj(), optimize=True)
+    runs for one state, in its order and on operands of its layouts, with
+    the states as a batch axis: every average is bit-identical to that
+    einsum's (capacity.average_state), whose rounding the golden files
+    record.  States go through in chunks whose intermediates hold at most
+    _AVERAGE_CHUNK_BYTES each (one state at least): a whole 256-state
+    block would take 3 MB per intermediate at d = 3 and 190 MB at d = 6.
+    """
+    by_column, conj_t = lifts
+    dim, n = joints.shape[-1], len(prior)
+    chunk = max(1, _AVERAGE_CHUNK_BYTES // (16 * n * dim * dim))
+    out = np.empty_like(joints)
+    for start in range(0, len(joints), chunk):
+        rows = slice(start, start + chunk)
+        u, uc = (by_column, conj_t) if by_column.ndim == 2 else (by_column[rows], conj_t[rows])
+        # jk,aij->aik
+        x = (np.swapaxes(joints[rows], -1, -2) @ u).reshape(-1, dim, n, dim).transpose(0, 2, 3, 1)
+        # aik,alk->ail
+        x = x @ uc
+        # ail,a->il
+        out[rows] = (x.transpose(0, 2, 3, 1).reshape(-1, dim * dim, n) @ prior).reshape(-1, dim, dim)
+    return out
+
+
 def cmd_verify(args) -> int:
     if not 2 <= args.d <= 6:
         raise ParseError(f"--d must be in 2..6, got {args.d}")
@@ -390,7 +470,8 @@ def cmd_verify(args) -> int:
         dd = d * d
         # the sender's ensemble: for d = 2 a random frame's qubit set, drawn after each state
         prior = np.full(4, 0.25) if d == 2 else weyl.prior
-        weyl_lifted = _kron(np.stack(weyl.unitaries), np.eye(d, dtype=complex))
+        if d > 2:  # one Weyl lift, shared by every sample
+            lifts = _lift_operands(_kron(np.stack(weyl.unitaries), np.eye(d, dtype=complex)))
         for draws in _gaussian_blocks(rng, args.samples, 2 * dd * dd + (9 if d == 2 else 0)):
             joints, spectra = _random_states(draws, dd)
             reduced_a, reduced_b = (_partial_trace_array(joints, (d, d), side) for side in "AB")
@@ -399,23 +480,17 @@ def cmd_verify(args) -> int:
 
             if d == 2:
                 frames = _frame_rows(draws[:, 2 * dd * dd :].reshape(-1, 3, 3))
-                lifted = _kron(_qubit_set_stack(frames), np.eye(2, dtype=complex))
-            else:
-                lifted = np.broadcast_to(weyl_lifted, (len(joints), *weyl_lifted.shape))
-            # state by state, as capacity.average_state: an optimized contraction
-            # over the stack rounds the residual differently in the 12th digit
-            spec = "a,aij,jk,alk->il"
-            path = np.einsum_path(spec, prior, lifted[0], joints[0], lifted[0].conj(), optimize=True)[0]
-            avg = np.stack(
-                [np.einsum(spec, prior, u, rho, u.conj(), optimize=path) for u, rho in zip(lifted, joints)]
-            )
+                lifts = _lift_operands(_kron(_qubit_set_stack(frames), np.eye(2, dtype=complex)))
+            avg = _averaged_states(prior, lifts, joints)
             _validated_spectra(avg)
+            averaged = _max_norm(avg - _kron(np.eye(d) / d, reduced_b))
+            del avg  # freed before the reconstruction, which sets the block's peak memory
             rebuilt = _reconstruct_arrays(_gamma_arrays(joints, reduced_a, reduced_b), reduced_a, reduced_b)
             _validated_spectra(rebuilt)
             worst = np.maximum(worst, [
                 max(cols["residual_ab"].max(), cols["residual_ba"].max()),
                 cols["asymmetry_residual"].max(),
-                _max_norm(avg - _kron(np.eye(d) / d, reduced_b)),
+                averaged,
                 _max_norm(rebuilt - joints),
             ])
         names = ("difference_identity", "asymmetry", "averaged_state", "correlation_reconstruction")

@@ -6,9 +6,10 @@ import pytest
 
 from densecap import capacity as cap
 from densecap import ensemble_to_json, state_to_json, werner_state
-from densecap.cli import load_state, main
-from densecap.encodings import EncodingEnsemble
-from densecap.qstate import PAULI_X
+from densecap.cli import _averaged_states, _lift_operands, _random_states, load_state, main
+from densecap.encodings import EncodingEnsemble, _qubit_set_stack, weyl_set
+from densecap.qstate import PAULI_X, _kron
+from densecap.sampling import _frame_rows
 
 
 def run(capsys, argv):
@@ -146,9 +147,29 @@ class TestVerifyCommand:
         assert all(line.endswith("True") for line in lines[1:])
 
 
+def _reference_jsonable(value):
+    # each float rounded to 12 significant digits, numpy values as Python ones
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.12g}")
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return _reference_jsonable(value.tolist())
+    if isinstance(value, dict):
+        return {k: _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    return value
+
+
+def reference_json(value) -> str:
+    """The CLI's JSON text of value, through the standard library's encoder."""
+    return json.dumps(_reference_jsonable(value), indent=2)
+
+
 def reference_verify(d: int, samples: int, seed: int) -> str:
     """stdout of `verify --d d`, computed sample by sample from the library."""
-    from densecap.cli import _capacity_row, _jsonable
+    from densecap.cli import _capacity_row
     from densecap.encodings import (
         canonical_qubit_set, gellmann_basis, lift_ensemble, verify_orthogonality, weyl_set,
     )
@@ -201,7 +222,7 @@ def reference_verify(d: int, samples: int, seed: int) -> str:
         "command": "verify", "d": d, "samples": samples, "seed": seed, "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
+    return reference_json(payload) + "\n"
 
 
 class TestBlockedVerify:
@@ -231,6 +252,38 @@ class TestBlockedVerify:
         main(["verify", "--d", "4", "--samples", "1"])  # fill the basis caches first
         one, four = peak(VERIFY_BLOCK), peak(4 * VERIFY_BLOCK)
         assert four <= 1.5 * one, (one, four)
+
+
+def per_sample_averages(prior, lifts, joints):
+    """The averaged states of verify, one np.einsum per sample."""
+    spec = "a,aij,jk,alk->il"
+    path = np.einsum_path(spec, prior, lifts[0], joints[0], lifts[0].conj(), optimize=True)[0]
+    return np.stack([np.einsum(spec, prior, u, rho, u.conj(), optimize=path) for u, rho in zip(lifts, joints)])
+
+
+class TestAveragedStates:
+    @staticmethod
+    def states(rng, samples, dim):
+        return _random_states(rng.standard_normal((samples, 2 * dim * dim)), dim)[0]
+
+    @pytest.mark.parametrize("samples", [1, 7, 256])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_shared_weyl_lift(self, d, samples):
+        weyl = weyl_set(d)
+        lift = _kron(np.stack(weyl.unitaries), np.eye(d, dtype=complex))
+        joints = self.states(np.random.default_rng([d, samples]), samples, d * d)
+        expected = per_sample_averages(weyl.prior, np.broadcast_to(lift, (samples, *lift.shape)), joints)
+        assert np.array_equal(_averaged_states(weyl.prior, _lift_operands(lift), joints), expected)
+
+    @pytest.mark.parametrize("samples", [1, 7, 256])
+    def test_per_sample_frame_lifts(self, samples):
+        rng = np.random.default_rng(samples)
+        joints = self.states(rng, samples, 4)
+        frames = _frame_rows(rng.standard_normal((samples, 3, 3)))
+        lifts = _kron(_qubit_set_stack(frames), np.eye(2, dtype=complex))
+        prior = np.full(4, 0.25)
+        expected = per_sample_averages(prior, lifts, joints)
+        assert np.array_equal(_averaged_states(prior, _lift_operands(lifts), joints), expected)
 
 
 class TestSimulateCommand:

@@ -2,9 +2,11 @@
 
 Each file under tests/data/golden/<name>.out holds the exact stdout of
 `densecap <argv>` run from that directory.  The files were written by
-the release before the batched Werner sweep, and the `simulate_*` files
-by the release before the guide-table sampler, so a change to the
-numerics or the formatting of these commands shows here as a byte diff.
+the release before the batched Werner sweep, the `simulate_*` files by
+the release before the guide-table sampler, and `verify_d4` and
+`entanglement_werner_085` by the release before the one-pass JSON
+emitter, so a change to the numerics or the formatting of these commands
+shows here as a byte diff.
 Regenerate a file only for a deliberate output change, and say so in
 the change log.
 """
@@ -22,6 +24,10 @@ COMMANDS = {
     "sweep_csv": ["capacity", "--state", "werner", "--sweep=-0.3:1:0.01", "--format", "csv"],
     "verify_d2": ["verify", "--d", "2", "--samples", "20", "--seed", "1"],
     "verify_d3": ["verify", "--d", "3", "--samples", "20", "--seed", "1"],
+    # d >= 3: one Weyl lift shared by every sample
+    "verify_d4": ["verify", "--d", "4", "--samples", "20", "--seed", "2"],
+    # a nested dict and booleans in the JSON
+    "entanglement_werner_085": ["entanglement", "--state", "werner:0.85", "--restarts", "4"],
     "werner_half": ["capacity", "--state", "werner:0.5"],
     "max_entangled_3": ["capacity", "--state", "max-entangled:3"],
     "cross_check_2x3": ["capacity", "--state", "state_2x3.json", "--dims", "2,3", "--cross-check"],

@@ -32,8 +32,9 @@ from densecap import (  # noqa: E402
     weyl_set,
     werner_state,
 )
-from densecap.cli import main  # noqa: E402
+from densecap.cli import _json_text, main  # noqa: E402
 from test_capacity import reference_blahut_arimoto, reference_gap  # noqa: E402
+from test_cli import reference_json  # noqa: E402
 from densecap.encodings import EncodingEnsemble  # noqa: E402
 from densecap.sampling import (  # noqa: E402
     random_bipartite_state,
@@ -228,3 +229,43 @@ def test_malformed_argv_one_line_error(paths, data):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, SMALLEST_NORMAL, 1e12, 1e16]),
+    st.floats(min_value=-SMALLEST_NORMAL, max_value=SMALLEST_NORMAL),  # subnormals
+    st.floats(min_value=1e11, max_value=1e17).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+)
+JSON_SCALARS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(),  # non-ASCII characters, quotes, backslashes and control characters
+)
+ARRAYS = st.one_of(
+    FLOATS.map(np.array),
+    st.lists(FLOATS, max_size=6).map(np.array),
+    st.lists(FLOATS, min_size=2, max_size=12).map(lambda xs: np.array(xs[: len(xs) // 2 * 2]).reshape(2, -1)),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, ARRAYS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(value=JSON_VALUES)
+def test_json_emitter_matches_standard_encoder(value):
+    assert _json_text(value) == reference_json(value)

@@ -61,8 +61,8 @@ def average_state(e: EncodingEnsemble, rho: DensityMatrix) -> DensityMatrix:
     """Prior-weighted average sum_a pi_a U_a rho U_a^dag."""
     if e.dim != rho.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} != state dim {rho.dim}")
-    stack = np.stack(e.unitaries)
-    avg = np.einsum("a,aij,jk,alk->il", e.prior, stack, rho.matrix, stack.conj(), optimize=True)
+    us = e.unitaries
+    avg = np.einsum("a,aij,jk,alk->il", e.prior, us, rho.matrix, us.conj(), optimize=True)
     return DensityMatrix(avg)
 
 

@@ -27,6 +27,7 @@ from .encodings import (
     canonical_qubit_set,
     ensemble_from_json,
     gellmann_basis,
+    lift_ensemble,
     verify_orthogonality,
     weyl_set,
 )
@@ -230,22 +231,16 @@ def _capacity_row(s: BipartiteState) -> dict:
     return {key: float(x) for key, x in _capacity_columns(s.dim_a, s.dim_b, *entropies).items()}
 
 
-def _werner_sweep_columns(params: np.ndarray) -> dict:
-    """_capacity_columns of the Werner states at every p in params.
+def _stack_columns(joints: np.ndarray, spectra: np.ndarray, dims: tuple[int, int]) -> tuple:
+    """_capacity_columns of every state of a stack (s, D, D) of validated joints with these spectra.
 
-    One batched eigvalsh per stack (joints and both reductions), with
-    every DensityMatrix check applied to each matrix of the stack.
+    One batched eigvalsh per reduction stack, with every DensityMatrix
+    check applied to each reduced matrix.  Returns the columns and both
+    reductions.
     """
-    joints = werner_matrices(params)
-    s_ab, s_a, s_b = (
-        _spectrum_entropies(_validated_spectra(m))
-        for m in (
-            joints,
-            _partial_trace_array(joints, (2, 2), "A"),
-            _partial_trace_array(joints, (2, 2), "B"),
-        )
-    )
-    return _capacity_columns(2, 2, s_a, s_b, s_ab)
+    reduced = [_partial_trace_array(joints, dims, side) for side in "AB"]
+    s_a, s_b = (_spectrum_entropies(_validated_spectra(r)) for r in reduced)
+    return _capacity_columns(*dims, s_a, s_b, _spectrum_entropies(spectra)), *reduced
 
 
 def _parse_sweep(spec: str) -> np.ndarray:
@@ -281,7 +276,8 @@ def cmd_capacity(args) -> int:
         if args.dims or args.cross_check:
             raise ParseError("--sweep cannot be combined with --dims or --cross-check")
         params = _parse_sweep(args.sweep)
-        cols = _werner_sweep_columns(params)
+        joints = werner_matrices(params)
+        cols, _, _ = _stack_columns(joints, _validated_spectra(joints), (2, 2))
         worst = np.maximum(np.maximum(cols["residual_ab"], cols["residual_ba"]), cols["asymmetry_residual"])
         ok = bool(np.all(worst < args.tol))
         params = params.tolist()
@@ -385,7 +381,7 @@ def _frame_twirl_residual(rng: np.random.Generator, samples: int) -> float:
 
 def _ensemble_twirl_residual(e, rng: np.random.Generator, samples: int) -> float:
     """Largest distance from 1/d of random states twirled by e."""
-    us = np.stack(e.unitaries)
+    us = e.unitaries
     worst = 0.0
     for draws in _gaussian_blocks(rng, samples, 2 * e.dim * e.dim):
         states, _ = _random_states(draws, e.dim)
@@ -458,7 +454,7 @@ def cmd_verify(args) -> int:
         gram, _ = verify_orthogonality(weyl)
         record("weyl_gram", float(np.max(np.abs(d * gram - d * np.eye(len(weyl))))), 1e-12)
         record("weyl_twirl", _ensemble_twirl_residual(weyl, rng, args.samples), 1e-10)
-        basis = np.stack(gellmann_basis(d).lambdas)
+        basis = gellmann_basis(d).lambdas
         basis_gram = np.einsum("aij,bji->ab", basis, basis)
         record(
             "gellmann_orthogonality",
@@ -471,12 +467,10 @@ def cmd_verify(args) -> int:
         # the sender's ensemble: for d = 2 a random frame's qubit set, drawn after each state
         prior = np.full(4, 0.25) if d == 2 else weyl.prior
         if d > 2:  # one Weyl lift, shared by every sample
-            lifts = _lift_operands(_kron(np.stack(weyl.unitaries), np.eye(d, dtype=complex)))
+            lifts = _lift_operands(lift_ensemble(weyl, d).unitaries)
         for draws in _gaussian_blocks(rng, args.samples, 2 * dd * dd + (9 if d == 2 else 0)):
             joints, spectra = _random_states(draws, dd)
-            reduced_a, reduced_b = (_partial_trace_array(joints, (d, d), side) for side in "AB")
-            s_a, s_b = (_spectrum_entropies(_validated_spectra(r)) for r in (reduced_a, reduced_b))
-            cols = _capacity_columns(d, d, s_a, s_b, _spectrum_entropies(spectra))
+            cols, reduced_a, reduced_b = _stack_columns(joints, spectra, (d, d))
 
             if d == 2:
                 frames = _frame_rows(draws[:, 2 * dd * dd :].reshape(-1, 3, 3))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FrameNotOrthonormal, InvalidDimension, InvalidEnsemble, ParseError
-from .qstate import PAULI_X, PAULI_Y, PAULI_Z, PAULIS, BlochVector
+from .qstate import PAULI_X, PAULI_Y, PAULI_Z, PAULIS, BlochVector, _is_distribution, _kron, _re_im, _stack_of
 
 FRAME_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -60,32 +60,28 @@ class OrthonormalFrame:
 
 @dataclass(frozen=True, eq=False)
 class EncodingEnsemble:
-    """Unitaries U_a with a prior pi_a; the channel's signal alphabet generator."""
+    """Unitaries U_a = unitaries[a], one read-only (n, d, d) array, with a prior pi_a."""
 
     dim: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     prior: np.ndarray
 
     def __post_init__(self) -> None:
         d = int(self.dim)
         object.__setattr__(self, "dim", d)
-        us = []
-        eye = np.eye(d)
-        for a, u in enumerate(self.unitaries):
-            m = np.asarray(u, dtype=complex)
-            if m.shape != (d, d):
-                raise DimensionMismatch(f"unitary {a} has shape {m.shape}, expected ({d}, {d})")
-            if not np.max(np.abs(m.conj().T @ m - eye)) <= UNITARITY_TOL:
-                raise InvalidEnsemble(f"matrix {a} is not unitary within 1e-12")
-            m.setflags(write=False)
-            us.append(m)
-        p = np.asarray(self.prior, dtype=float).reshape(-1)
+        us = _stack_of(self.unitaries, (d, d), DimensionMismatch, "unitary")
+        residual = np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(d)).max(axis=(1, 2))
+        bad = np.flatnonzero(~(residual <= UNITARITY_TOL))
+        if bad.size:
+            raise InvalidEnsemble(f"matrix {bad[0]} is not unitary within 1e-12")
+        p = np.array(self.prior, dtype=float).reshape(-1)
         if p.shape != (len(us),):
             raise InvalidEnsemble("prior length does not match the number of unitaries")
-        if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
+        if not _is_distribution(p):
             raise InvalidEnsemble("prior must be non-negative and sum to 1 within 1e-12")
+        us.setflags(write=False)
         p.setflags(write=False)
-        object.__setattr__(self, "unitaries", tuple(us))
+        object.__setattr__(self, "unitaries", us)
         object.__setattr__(self, "prior", p)
 
     def __len__(self) -> int:
@@ -94,28 +90,26 @@ class EncodingEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class OperatorBasis:
-    """d^2 - 1 Hermitian traceless matrices with Tr L_a L_b = d delta_ab."""
+    """Hermitian traceless L_a = lambdas[a], one read-only (d^2 - 1, d, d) array, Tr L_a L_b = d delta_ab."""
 
     dim: int
-    lambdas: tuple[np.ndarray, ...]
+    lambdas: np.ndarray
 
     def __post_init__(self) -> None:
         d = int(self.dim)
         object.__setattr__(self, "dim", d)
-        mats = []
-        for a, lam in enumerate(self.lambdas):
-            m = np.asarray(lam, dtype=complex)
-            if abs(np.trace(m)) > 1e-12:
-                raise ValueError(f"basis element {a} is not traceless")
-            if np.max(np.abs(m - m.conj().T)) > 1e-12:
-                raise ValueError(f"basis element {a} is not Hermitian")
-            m.setflags(write=False)
-            mats.append(m)
-        stack = np.stack(mats)
-        gram = np.einsum("aij,bji->ab", stack, stack)
-        if np.max(np.abs(gram - d * np.eye(len(mats)))) > 1e-12:
+        lams = _stack_of(self.lambdas, (d, d), ValueError, "basis element")
+        traceless = np.abs(np.trace(lams, axis1=1, axis2=2)) <= 1e-12
+        hermitian = np.abs(lams - lams.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12
+        bad = np.flatnonzero(~(traceless & hermitian))
+        if bad.size:
+            a = bad[0]
+            raise ValueError(f"basis element {a} is not {'Hermitian' if traceless[a] else 'traceless'}")
+        gram = np.einsum("aij,bji->ab", lams, lams)
+        if not np.max(np.abs(gram - d * np.eye(len(lams)))) <= 1e-12:
             raise ValueError("basis fails Tr L_a L_b = d delta_ab within 1e-12")
-        object.__setattr__(self, "lambdas", tuple(mats))
+        lams.setflags(write=False)
+        object.__setattr__(self, "lambdas", lams)
 
 
 def canonical_qubit_set(frame: OrthonormalFrame) -> EncodingEnsemble:
@@ -124,7 +118,7 @@ def canonical_qubit_set(frame: OrthonormalFrame) -> EncodingEnsemble:
     Uniform prior 1/4; each n_k.sigma is Hermitian and unitary, and the
     set averages any qubit state to the total mixture.
     """
-    return EncodingEnsemble(2, tuple(_qubit_set_stack(frame.rows())), np.full(4, 0.25))
+    return EncodingEnsemble(2, _qubit_set_stack(frame.rows()), np.full(4, 0.25))
 
 
 def _qubit_set_stack(rows: np.ndarray) -> np.ndarray:
@@ -188,7 +182,7 @@ def gellmann_basis(d: int) -> OperatorBasis:
         m[np.arange(l), np.arange(l)] = 1.0
         m[l, l] = -l
         mats.append(scale * math.sqrt(2.0 / (l * (l + 1))) * m)
-    return OperatorBasis(d, tuple(mats))
+    return OperatorBasis(d, mats)
 
 
 @functools.lru_cache(maxsize=16)
@@ -213,7 +207,7 @@ def weyl_set(d: int) -> EncodingEnsemble:
             us.append(xp @ zq)
             zq = zq @ clock
         xp = xp @ shift
-    return EncodingEnsemble(d, tuple(us), np.full(d * d, 1.0 / (d * d)))
+    return EncodingEnsemble(d, us, np.full(d * d, 1.0 / (d * d)))
 
 
 def verify_orthogonality(e: EncodingEnsemble) -> tuple[np.ndarray, bool]:
@@ -222,8 +216,7 @@ def verify_orthogonality(e: EncodingEnsemble) -> tuple[np.ndarray, bool]:
     Returns the complex Gram matrix and True when it matches the identity
     within 1e-10 entrywise.
     """
-    stack = np.stack(e.unitaries)
-    gram = np.einsum("ajk,bjk->ab", stack.conj(), stack) / e.dim
+    gram = np.einsum("ajk,bjk->ab", e.unitaries.conj(), e.unitaries) / e.dim
     ok = bool(np.max(np.abs(gram - np.eye(len(e)))) <= GRAM_TOL)
     return gram, ok
 
@@ -232,18 +225,17 @@ def lift_ensemble(e: EncodingEnsemble, d_other: int, side: str = "a") -> Encodin
     """Embed an ensemble on one subsystem of a bipartite space (U x 1 or 1 x U)."""
     eye = np.eye(int(d_other), dtype=complex)
     if side.lower() == "a":
-        us = tuple(np.kron(u, eye) for u in e.unitaries)
+        us = _kron(e.unitaries, eye)
     elif side.lower() == "b":
-        us = tuple(np.kron(eye, u) for u in e.unitaries)
+        us = _kron(eye, e.unitaries)
     else:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    return EncodingEnsemble(e.dim * int(d_other), us, e.prior.copy())
+    return EncodingEnsemble(e.dim * int(d_other), us, e.prior)
 
 
 def ensemble_to_json(e: EncodingEnsemble) -> dict:
     """Serialize to {"dim": d, "unitaries": [matrix, ...], "prior": [...]}."""
-    mats = [np.stack([u.real, u.imag], axis=-1).tolist() for u in e.unitaries]
-    return {"dim": e.dim, "unitaries": mats, "prior": [float(p) for p in e.prior]}
+    return {"dim": e.dim, "unitaries": _re_im(e.unitaries), "prior": [float(p) for p in e.prior]}
 
 
 def ensemble_from_json(obj: dict) -> EncodingEnsemble:
@@ -251,16 +243,12 @@ def ensemble_from_json(obj: dict) -> EncodingEnsemble:
         raise ParseError("ensemble JSON needs 'dim' and 'unitaries'")
     try:
         d = int(obj["dim"])
-        us = []
-        for entries in obj["unitaries"]:
-            arr = np.asarray(entries, dtype=float)
-            if arr.shape != (d, d, 2):
-                raise ParseError(f"unitary shape {arr.shape} does not match dim {d}")
-            us.append(arr[..., 0] + 1j * arr[..., 1])
-        if not us:
-            raise ParseError("ensemble JSON needs at least one unitary")
+        arr = np.asarray(obj["unitaries"], dtype=float)
+        if arr.shape[1:] != (d, d, 2):  # an empty list has shape (0,)
+            raise ParseError(f"ensemble JSON needs a non-empty list of {d}x{d} unitaries, got shape {arr.shape}")
+        us = arr[..., 0] + 1j * arr[..., 1]
         prior = obj.get("prior")
         p = np.full(len(us), 1.0 / len(us)) if prior is None else np.asarray(prior, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad ensemble JSON: {exc}") from None
-    return EncodingEnsemble(d, tuple(us), p)
+    return EncodingEnsemble(d, us, p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionUnsupported, RankTooLarge, SplitMismatch
-from .qstate import PAULI_Y, BipartiteState
+from .qstate import PAULI_Y, BipartiteState, _is_distribution, _phase_fixed_qr, _re_im, _stack_of
 
 _RANK_TOL = 1e-12
 _MAX_ITERATIONS = 2000
@@ -25,39 +25,32 @@ _ARMIJO = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Convex decomposition {p_k, |psi_k>} of a bipartite state."""
+    """Convex decomposition {p_k, |psi_k>} of a bipartite state; |psi_k> = vectors[k], one read-only array."""
 
     weights: np.ndarray
-    vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
     dims: tuple[int, int]
 
     def __post_init__(self) -> None:
         d_a, d_b = int(self.dims[0]), int(self.dims[1])
         object.__setattr__(self, "dims", (d_a, d_b))
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if w.shape != (len(self.vectors),):
             raise ValueError("weights and vectors have different lengths")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        if not _is_distribution(w):
             raise ValueError("weights must be non-negative and sum to 1 within 1e-12")
-        vecs = []
-        for k, v in enumerate(self.vectors):
-            arr = np.asarray(v, dtype=complex).reshape(-1)
-            if arr.shape != (d_a * d_b,):
-                raise SplitMismatch(
-                    f"vector {k} has length {arr.shape[0]}, split {self.dims} needs {d_a * d_b}"
-                )
-            if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
-                raise ValueError(f"vector {k} is not unit norm within 1e-12")
-            arr.setflags(write=False)
-            vecs.append(arr)
+        vecs = _stack_of(self.vectors, (d_a * d_b,), SplitMismatch, "vector")
+        off = np.flatnonzero(~(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= 1e-12))
+        if off.size:
+            raise ValueError(f"vector {off[0]} is not unit norm within 1e-12")
         w.setflags(write=False)
+        vecs.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "vectors", tuple(vecs))
+        object.__setattr__(self, "vectors", vecs)
 
     def state(self) -> np.ndarray:
         """The mixture sum_k p_k |psi_k><psi_k| this decomposition represents."""
-        stack = np.stack(self.vectors)
-        return np.einsum("k,ki,kj->ij", self.weights, stack, stack.conj())
+        return np.einsum("k,ki,kj->ij", self.weights, self.vectors, self.vectors.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +66,7 @@ class ConvexRoofResult:
             "value": float(self.value),
             "decomposition": {
                 "weights": [float(w) for w in dec.weights],
-                "vectors": [np.stack([v.real, v.imag], axis=-1).tolist() for v in dec.vectors],
+                "vectors": _re_im(dec.vectors),
             },
             "restarts_used": int(self.restarts_used),
             "converged": bool(self.converged),
@@ -101,7 +94,7 @@ def decomposition_cost(d: Decomposition) -> float:
     spectrum), so each term is twice the Schmidt entropy.
     """
     d_a, d_b = d.dims
-    stack = np.stack(d.vectors).reshape(len(d.vectors), d_a, d_b)
+    stack = d.vectors.reshape(len(d.vectors), d_a, d_b)
     schmidt_sq = np.linalg.svd(stack, compute_uv=False) ** 2
     entropies = -np.sum(_xlog2x(schmidt_sq), axis=1)
     return float(np.sum(d.weights * 2.0 * entropies))
@@ -141,13 +134,6 @@ def _rows_cost_grad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cost = 2.0 * (_xlog2x(p) - np.sum(_xlog2x(sq), axis=-1))
     scale = 2.0 * (_log2_floor(p)[..., None] - _log2_floor(sq)) * s
     return cost, np.einsum("...ij,...j,...jk->...ik", u, scale, wh)
-
-
-def _retract(v: np.ndarray) -> np.ndarray:
-    """Q of v = QR with R's diagonal real and positive; v = V - t xi has full column rank."""
-    q, r = np.linalg.qr(v)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def convex_roof(
@@ -219,7 +205,8 @@ def convex_roof(
         t = step[active]
         pending = np.arange(active.size)
         for _ in range(_MAX_HALVINGS):
-            cand = _retract(v[pending] - t[pending, None, None] * xi[pending])
+            # QR retraction: V - t xi has full column rank
+            cand = _phase_fixed_qr(v[pending] - t[pending, None, None] * xi[pending])
             cand_cost, cand_grad = evaluate(cand)
             ok = cand_cost <= old[pending] - t[pending] * decrease[pending]
             accepted = active[pending[ok]]
@@ -243,6 +230,5 @@ def convex_roof(
     weights = np.sum(np.abs(flat) ** 2, axis=1)
     nonzero = weights > 1e-12
     flat, weights = flat[nonzero], weights[nonzero]
-    vectors = tuple(flat[k] / math.sqrt(weights[k]) for k in range(flat.shape[0]))
-    dec = Decomposition(weights / weights.sum(), vectors, s.dims)
+    dec = Decomposition(weights / weights.sum(), flat / np.sqrt(weights)[:, None], s.dims)
     return ConvexRoofResult(decomposition_cost(dec), dec, n_restarts, converged)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import EncodingEnsemble
+from .encodings import EncodingEnsemble, lift_ensemble
 from .errors import DimensionMismatch, InvalidState, InvalidTrials
-from .qstate import _BELL_VECTORS, BipartiteState
+from .qstate import _BELL_VECTORS, BipartiteState, _is_distribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +65,8 @@ class ClassicalJointState:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (2, 2):
             raise InvalidState(f"expected a 2x2 table, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidState("probabilities must be finite")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise InvalidState("probabilities must be non-negative and sum to 1")
+        if not _is_distribution(p):
+            raise InvalidState("probabilities must be finite, non-negative and sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
@@ -193,18 +191,17 @@ def _outcome_distributions(
 ) -> np.ndarray:
     """Born-rule outcome probabilities q[a, b] for each message a."""
     d_a, d_b = s.dims
-    us = np.stack(e.unitaries)
     if isinstance(decoder, BellDecoder):
         if s.dims != (2, 2):
             raise DimensionMismatch(f"Bell decoder needs a 2x2 split, got {s.dims}")
         basis = np.stack([_BELL_VECTORS[k] for k in ("psi+", "phi+", "phi-", "psi-")])
-        lifted = np.einsum("aik,jl->aijkl", us, np.eye(2)).reshape(len(us), 4, 4)
+        lifted = lift_ensemble(e, 2).unitaries
         signals = lifted @ s.joint.matrix @ lifted.conj().swapaxes(1, 2)
         q = np.real(np.einsum("bi,aij,bj->ab", basis.conj(), signals, basis))
     elif isinstance(decoder, SingleParticleDecoder):
         basis = _single_particle_basis(decoder, d_a)
         reduced = np.einsum("ijkj->ik", s.joint.matrix.reshape(d_a, d_b, d_a, d_b))
-        signals = us @ reduced @ us.conj().swapaxes(1, 2)
+        signals = e.unitaries @ reduced @ e.unitaries.conj().swapaxes(1, 2)
         q = np.real(np.einsum("ib,aij,jb->ab", basis.conj(), signals, basis))
     else:
         raise TypeError(f"unknown decoder {decoder!r}")

@@ -254,12 +254,7 @@ class BipartiteState:
     @classmethod
     def from_pure(cls, vec: np.ndarray, dims: tuple[int, int]) -> "BipartiteState":
         """Projector onto a joint pure state (the vector is normalized)."""
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise InvalidState("zero vector has no associated state")
-        v = v / n
-        return cls(DensityMatrix(np.outer(v, v.conj())), dims)
+        return cls(pure_state(vec), dims)
 
     @classmethod
     def from_product(cls, a: DensityMatrix, b: DensityMatrix) -> "BipartiteState":
@@ -287,11 +282,36 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], n, n)
 
 
+def _phase_fixed_qr(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR with R's diagonal made real and positive, for a stack (..., m, n) of full rank."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _stack_of(items, shape: tuple[int, ...], error: type, what: str) -> np.ndarray:
+    """items as one new complex array (n, *shape); error names the first item of another shape."""
+    for k, item in enumerate(items):
+        if np.shape(item) != shape:
+            raise error(f"{what} {k} has shape {np.shape(item)}, expected {shape}")
+    return np.array(items, dtype=complex).reshape(-1, *shape)
+
+
+def _is_distribution(p: np.ndarray) -> bool:
+    """Whether p's entries are non-negative and sum to 1 within 1e-12; False for NaN or inf."""
+    return bool(np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12)
+
+
+def _re_im(m: np.ndarray) -> list:
+    """A complex array as nested lists with an [re, im] pair per entry (the JSON format)."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
 def _bases(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
     # imported here: encodings depends on qstate for BlochVector
     from .encodings import gellmann_basis
 
-    return np.stack(gellmann_basis(d_a).lambdas), np.stack(gellmann_basis(d_b).lambdas)
+    return gellmann_basis(d_a).lambdas, gellmann_basis(d_b).lambdas
 
 
 def _gamma_arrays(joint: np.ndarray, reduced_a: np.ndarray, reduced_b: np.ndarray) -> np.ndarray:
@@ -413,8 +433,7 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
 def state_to_json(s: DensityMatrix | BipartiteState) -> dict:
     """Serialize a state to the JSON matrix form (joint matrix for bipartite)."""
     m = s.joint.matrix if isinstance(s, BipartiteState) else s.matrix
-    entries = np.stack([m.real, m.imag], axis=-1).tolist()
-    out = {"dim": int(m.shape[0]), "matrix": entries}
+    out = {"dim": int(m.shape[0]), "matrix": _re_im(m)}
     if isinstance(s, BipartiteState):
         out["dims"] = [s.dim_a, s.dim_b]
     return out

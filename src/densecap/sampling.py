@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qstate import BipartiteState, DensityMatrix
+from .qstate import BipartiteState, DensityMatrix, _phase_fixed_qr
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    return _phase_fixed_qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,6 +51,4 @@ def random_orthonormal_frame(rng: np.random.Generator):
 
 def _frame_rows(g: np.ndarray) -> np.ndarray:
     """Rows n1, n2, n3 of Q in g = QR (R's diagonal made positive) for a stack (..., 3, 3)."""
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    return q.swapaxes(-1, -2)
+    return _phase_fixed_qr(g).swapaxes(-1, -2)

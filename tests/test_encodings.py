@@ -181,6 +181,29 @@ def test_cached_and_read_only(build, field):
             m[0, 0] = 0.0
 
 
+@pytest.mark.parametrize(
+    "family,shape",
+    [
+        (lambda: weyl_set(3).unitaries, (9, 3, 3)),
+        (lambda: gellmann_basis(3).lambdas, (8, 3, 3)),
+        (lambda: canonical_qubit_set(OrthonormalFrame.standard()).unitaries, (4, 2, 2)),
+        (lambda: lift_ensemble(weyl_set(2), 3, "b").unitaries, (4, 6, 6)),
+    ],
+    ids=["weyl", "gellmann", "qubit_set", "lift"],
+)
+def test_families_are_read_only_stacks(family, shape):
+    stack = family()
+    assert isinstance(stack, np.ndarray) and stack.shape == shape
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0.0
+
+
+def test_ensemble_copies_the_callers_stack():
+    us = np.stack([np.eye(2, dtype=complex), PAULI_X])
+    e = EncodingEnsemble(2, us, np.array([0.5, 0.5]))
+    assert us.flags.writeable and not np.shares_memory(us, e.unitaries)
+
+
 class TestWeylSet:
     def test_d2_equals_paulis_up_to_phase(self):
         e = weyl_set(2)
@@ -282,13 +305,19 @@ class TestEnsemble:
             EncodingEnsemble(2, (np.eye(2),), np.array([np.nan]))
         assert issubclass(InvalidEnsemble, DenseCapError)
 
+    def test_non_unitary_error_names_the_matrix(self):
+        us = (np.eye(2), PAULI_X, np.array([[1.0, 0], [0, 0.5]]), PAULI_Z)
+        with pytest.raises(InvalidEnsemble, match="matrix 2 is not unitary"):
+            EncodingEnsemble(2, us, np.full(4, 0.25))
+
     def test_lift_acts_on_chosen_side(self):
         e = antipodal_pair((0, 0, 1))
         left = lift_ensemble(e, 3, side="a")
         right = lift_ensemble(e, 3, side="b")
         assert left.dim == right.dim == 6
-        assert np.allclose(left.unitaries[1], np.kron(e.unitaries[1], np.eye(3)))
-        assert np.allclose(right.unitaries[1], np.kron(np.eye(3), e.unitaries[1]))
+        for u, l, r in zip(e.unitaries, left.unitaries, right.unitaries):
+            assert np.array_equal(l, np.kron(u, np.eye(3)))
+            assert np.array_equal(r, np.kron(np.eye(3), u))
 
     def test_json_round_trip(self):
         e = weyl_set(3)

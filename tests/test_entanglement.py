@@ -17,7 +17,8 @@ from densecap import (
     von_neumann_entropy,
     werner_state,
 )
-from densecap.entanglement import _retract, _rows_cost_grad
+from densecap.entanglement import _rows_cost_grad
+from densecap.qstate import _phase_fixed_qr as _retract
 from densecap.sampling import random_bipartite_state, random_pure_state
 
 
@@ -71,6 +72,18 @@ class TestDecompositionCost:
             Decomposition(np.array([0.7, 0.7]), (BELL_VEC, BELL_VEC), (2, 2))
         with pytest.raises(ValueError):
             Decomposition(np.array([1.0]), (2.0 * BELL_VEC,), (2, 2))
+
+    @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 0.5], [np.inf], [np.inf, -np.inf], [0.5, np.nan]])
+    def test_non_finite_weights_rejected(self, weights):
+        vectors = (BELL_VEC,) * len(weights)
+        with pytest.raises(ValueError):
+            Decomposition(np.array(weights), vectors, (2, 2))
+
+    def test_vectors_are_a_read_only_stack(self):
+        dec = eigendecomposition_of(werner_state(0.6))
+        assert isinstance(dec.vectors, np.ndarray) and dec.vectors.shape == (4, 4)
+        with pytest.raises(ValueError):
+            dec.vectors[0, 0] = 0.0
 
     def test_state_reconstruction(self):
         dec = eigendecomposition_of(werner_state(0.6))

@@ -14,7 +14,10 @@ import numpy as np
 
 from .encodings import EncodingEnsemble, lift_ensemble, weyl_set
 from .errors import DimensionMismatch, NoStates
-from .qstate import BipartiteState, DensityMatrix, _spectrum_entropy, von_neumann_entropy
+from .qstate import (
+    BipartiteState, DensityMatrix, _partial_trace_array, _spectrum_entropies, _spectrum_entropy,
+    _validated_spectra, von_neumann_entropy,
+)
 
 RELATIVE_ENTROPY_CAP = 50.0
 _SUPPORT_TOL = 1e-12
@@ -28,6 +31,9 @@ _CLIP_FRACTION = 1e-6
 _FACE_REL = 1e-30
 # halvings of a Newton step before falling back to a BA step
 _MAX_HALVINGS = 20
+# largest stacked intermediate of _averaged_states (from 256 KiB on, the
+# chunks raised the peak RSS of `densecap verify --d 3`)
+_AVERAGE_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,28 +63,59 @@ class CapacityReport:
         }
 
 
+def _lift_operands(lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two forms of a stack of n unitaries U_a (..., n, D, D) that
+    _averaged_states multiplies by: U as (..., j, (a i)), and conj(U) with
+    its last two axes swapped (a view)."""
+    n, dim = lifts.shape[-3:-1]
+    by_column = np.moveaxis(lifts, -1, -3).reshape(*lifts.shape[:-3], dim, n * dim)
+    return by_column, np.swapaxes(lifts.conj(), -1, -2)
+
+
+def _averaged_states(prior: np.ndarray, lifts: tuple[np.ndarray, np.ndarray], joints: np.ndarray) -> np.ndarray:
+    """sum_a prior_a U_a rho U_a^dag for every rho in a stack (s, D, D).
+
+    lifts is _lift_operands of one ensemble shared by every state, or of
+    one ensemble per state.  These are the three products that
+    np.einsum("a,aij,jk,alk->il", prior, U, rho, U.conj(), optimize=True)
+    runs for one state, in its order and on operands of its layouts, with
+    the states as a batch axis: every average is bit-identical to that
+    einsum's, whose rounding the golden files record, for fewer than D^2
+    unitaries (from D^2 on, numpy contracts the prior first).  States go
+    through in chunks whose intermediates hold at most _AVERAGE_CHUNK_BYTES
+    each (one state at least): a whole 256-state block would take 3 MB per
+    intermediate at d = 3 and 190 MB at d = 6.
+    """
+    by_column, conj_t = lifts
+    dim, n = joints.shape[-1], len(prior)
+    chunk = max(1, _AVERAGE_CHUNK_BYTES // (16 * n * dim * dim))
+    out = np.empty_like(joints)
+    for start in range(0, len(joints), chunk):
+        rows = slice(start, start + chunk)
+        u, uc = (by_column, conj_t) if by_column.ndim == 2 else (by_column[rows], conj_t[rows])
+        # jk,aij->aik
+        x = (np.swapaxes(joints[rows], -1, -2) @ u).reshape(-1, dim, n, dim).transpose(0, 2, 3, 1)
+        # aik,alk->ail
+        x = x @ uc
+        # ail,a->il
+        out[rows] = (x.transpose(0, 2, 3, 1).reshape(-1, dim * dim, n) @ prior).reshape(-1, dim, dim)
+    return out
+
+
 def average_state(e: EncodingEnsemble, rho: DensityMatrix) -> DensityMatrix:
     """Prior-weighted average sum_a pi_a U_a rho U_a^dag."""
     if e.dim != rho.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} != state dim {rho.dim}")
-    us = e.unitaries
-    avg = np.einsum("a,aij,jk,alk->il", e.prior, us, rho.matrix, us.conj(), optimize=True)
-    return DensityMatrix(avg)
+    return DensityMatrix(_averaged_states(e.prior, _lift_operands(e.unitaries), rho.matrix[None])[0])
 
 
 def holevo_chi(e: EncodingEnsemble, rho: DensityMatrix) -> float:
     """Holevo quantity S(avg) - sum_a pi_a S(U_a rho U_a^dag) in bits.
 
-    For a noiseless channel the unitaries preserve entropy, so this
-    equals S(avg) - S(rho); the weighted sum is evaluated anyway.
+    For a noiseless channel the unitaries (checked to 1e-12 by
+    EncodingEnsemble) preserve entropy, so the sum is S(rho).
     """
-    if e.dim != rho.dim:
-        raise DimensionMismatch(f"ensemble dim {e.dim} != state dim {rho.dim}")
-    avg = average_state(e, rho)
-    signal_entropy = 0.0
-    for pi_a, u in zip(e.prior, e.unitaries):
-        signal_entropy += pi_a * von_neumann_entropy(u @ rho.matrix @ u.conj().T)
-    chi = von_neumann_entropy(avg) - signal_entropy
+    chi = von_neumann_entropy(average_state(e, rho)) - von_neumann_entropy(rho)
     return max(chi, 0.0)
 
 
@@ -264,6 +301,50 @@ def optimize_prior(
     return CapacityReport(chi, pi, DensityMatrix(avg), len(trace), converged, tuple(trace))
 
 
+def _capacity_columns(d_a: int, d_b: int, s_a, s_b, s_ab) -> dict:
+    """Capacities and identity residuals from S(rho_A), S(rho_B), S(rho_AB).
+
+    The entropies are numbers or equal-length arrays (one entry per
+    state), and so is every column of the result.  The normal capacities
+    take normal_capacity's operation order, so they match it bit for bit.
+    """
+    c_normal_a = math.log2(d_a) - s_a
+    c_normal_b = math.log2(d_b) - s_b
+    c_ab = math.log2(d_a) + s_b - s_ab
+    c_ba = math.log2(d_b) + s_a - s_ab
+    mi = s_a + s_b - s_ab
+    mi = np.where(mi < 0.0, 0.0, mi)
+    return {
+        "c_normal_a": c_normal_a,
+        "c_normal_b": c_normal_b,
+        "c_dense_ab": c_ab,
+        "c_dense_ba": c_ba,
+        "mutual_info": mi,
+        "residual_ab": np.abs((c_ab - c_normal_a) - mi),
+        "residual_ba": np.abs((c_ba - c_normal_b) - mi),
+        "asymmetry_residual": np.abs(
+            (c_ab - c_ba) - (math.log2(d_a) - math.log2(d_b) + s_b - s_a)
+        ),
+    }
+
+
+def _capacity_row(s: BipartiteState) -> dict:
+    entropies = (von_neumann_entropy(r) for r in (s.reduced_a, s.reduced_b, s.joint))
+    return {key: float(x) for key, x in _capacity_columns(s.dim_a, s.dim_b, *entropies).items()}
+
+
+def _stack_columns(joints: np.ndarray, spectra: np.ndarray, dims: tuple[int, int]) -> tuple:
+    """_capacity_columns of every state of a stack (s, D, D) of validated joints with these spectra.
+
+    One batched eigvalsh per reduction stack, with every DensityMatrix
+    check applied to each reduced matrix.  Returns the columns and both
+    reductions.
+    """
+    reduced = [_partial_trace_array(joints, dims, side) for side in "AB"]
+    s_a, s_b = (_spectrum_entropies(_validated_spectra(r)) for r in reduced)
+    return _capacity_columns(*dims, s_a, s_b, _spectrum_entropies(spectra)), *reduced
+
+
 def normal_capacity(rho: DensityMatrix) -> float:
     """Capacity log2 d - S(rho) of the noiseless channel without dense coding."""
     return math.log2(rho.dim) - von_neumann_entropy(rho)
@@ -276,11 +357,9 @@ def dense_capacity(s: BipartiteState, direction: str = "a2b") -> float:
     directions differ by log2 d_A - log2 d_B + S(rho_B) - S(rho_A).
     """
     direction = direction.lower()
-    if direction == "a2b":
-        return math.log2(s.dim_a) + von_neumann_entropy(s.reduced_b) - von_neumann_entropy(s.joint)
-    if direction == "b2a":
-        return math.log2(s.dim_b) + von_neumann_entropy(s.reduced_a) - von_neumann_entropy(s.joint)
-    raise ValueError(f"direction must be 'a2b' or 'b2a', got {direction!r}")
+    if direction not in ("a2b", "b2a"):
+        raise ValueError(f"direction must be 'a2b' or 'b2a', got {direction!r}")
+    return _capacity_row(s)["c_dense_ab" if direction == "a2b" else "c_dense_ba"]
 
 
 def dense_capacity_via_ensemble(
@@ -305,9 +384,4 @@ def dense_capacity_via_ensemble(
 
 def mutual_information(s: BipartiteState) -> float:
     """Quantum mutual information S(rho_A) + S(rho_B) - S(rho_AB) in bits."""
-    mi = (
-        von_neumann_entropy(s.reduced_a)
-        + von_neumann_entropy(s.reduced_b)
-        - von_neumann_entropy(s.joint)
-    )
-    return max(mi, 0.0)
+    return _capacity_row(s)["mutual_info"]

@@ -21,6 +21,7 @@ import numpy as np
 from . import capacity as cap
 from . import entanglement as ent
 from . import protosim as sim
+from .capacity import _averaged_states, _capacity_row, _lift_operands, _stack_columns
 from .encodings import (
     OrthonormalFrame,
     _qubit_set_stack,
@@ -38,14 +39,11 @@ from .qstate import (
     bell_state,
     _gamma_arrays,
     _kron,
-    _partial_trace_array,
     _reconstruct_arrays,
-    _spectrum_entropies,
     _validated_spectra,
     from_bloch,
     max_entangled_state,
     state_from_json,
-    von_neumann_entropy,
     werner_matrices,
     werner_state,
 )
@@ -59,9 +57,6 @@ MAX_RESTARTS = 1_000
 MAX_TRIALS = 10_000_000_000
 # verify draws and checks its random samples in blocks of this many
 VERIFY_BLOCK = 256
-# largest stacked intermediate of verify's averaged-state products (from
-# 256 KiB on, the chunks raised the peak RSS of `verify --d 3`)
-_AVERAGE_CHUNK_BYTES = 1 << 17
 
 
 def _fmt(x: float) -> str:
@@ -196,51 +191,6 @@ def _as_bipartite(state, dims_flag: str | None) -> BipartiteState:
             f"cannot infer a bipartite split of dimension {state.dim}; pass --dims"
         )
     return BipartiteState(state, (root, root))
-
-
-def _capacity_columns(d_a: int, d_b: int, s_a, s_b, s_ab) -> dict:
-    """Capacities and identity residuals from S(rho_A), S(rho_B), S(rho_AB).
-
-    The entropies are numbers or equal-length arrays (one entry per
-    state), and so is every column of the result.  The operation order
-    is that of capacity.normal_capacity, dense_capacity and
-    mutual_information, so the numbers match them bit for bit.
-    """
-    c_normal_a = math.log2(d_a) - s_a
-    c_normal_b = math.log2(d_b) - s_b
-    c_ab = math.log2(d_a) + s_b - s_ab
-    c_ba = math.log2(d_b) + s_a - s_ab
-    mi = s_a + s_b - s_ab
-    mi = np.where(mi < 0.0, 0.0, mi)
-    return {
-        "c_normal_a": c_normal_a,
-        "c_normal_b": c_normal_b,
-        "c_dense_ab": c_ab,
-        "c_dense_ba": c_ba,
-        "mutual_info": mi,
-        "residual_ab": np.abs((c_ab - c_normal_a) - mi),
-        "residual_ba": np.abs((c_ba - c_normal_b) - mi),
-        "asymmetry_residual": np.abs(
-            (c_ab - c_ba) - (math.log2(d_a) - math.log2(d_b) + s_b - s_a)
-        ),
-    }
-
-
-def _capacity_row(s: BipartiteState) -> dict:
-    entropies = (von_neumann_entropy(r) for r in (s.reduced_a, s.reduced_b, s.joint))
-    return {key: float(x) for key, x in _capacity_columns(s.dim_a, s.dim_b, *entropies).items()}
-
-
-def _stack_columns(joints: np.ndarray, spectra: np.ndarray, dims: tuple[int, int]) -> tuple:
-    """_capacity_columns of every state of a stack (s, D, D) of validated joints with these spectra.
-
-    One batched eigvalsh per reduction stack, with every DensityMatrix
-    check applied to each reduced matrix.  Returns the columns and both
-    reductions.
-    """
-    reduced = [_partial_trace_array(joints, dims, side) for side in "AB"]
-    s_a, s_b = (_spectrum_entropies(_validated_spectra(r)) for r in reduced)
-    return _capacity_columns(*dims, s_a, s_b, _spectrum_entropies(spectra)), *reduced
 
 
 def _parse_sweep(spec: str) -> np.ndarray:
@@ -388,44 +338,6 @@ def _ensemble_twirl_residual(e, rng: np.random.Generator, samples: int) -> float
         avg = np.einsum("a,aij,sjk,alk->sil", e.prior, us, states, us.conj())
         worst = max(worst, _max_norm(avg - np.eye(e.dim) / e.dim))
     return worst
-
-
-def _lift_operands(lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two forms of a stack of n unitaries U_a (..., n, D, D) that
-    _averaged_states multiplies by: U as (..., j, (a i)), and conj(U) with
-    its last two axes swapped (a view)."""
-    n, dim = lifts.shape[-3:-1]
-    by_column = np.moveaxis(lifts, -1, -3).reshape(*lifts.shape[:-3], dim, n * dim)
-    return by_column, np.swapaxes(lifts.conj(), -1, -2)
-
-
-def _averaged_states(prior: np.ndarray, lifts: tuple[np.ndarray, np.ndarray], joints: np.ndarray) -> np.ndarray:
-    """sum_a prior_a U_a rho U_a^dag for every rho in a stack (s, D, D).
-
-    lifts is _lift_operands of one ensemble shared by every state, or of
-    one ensemble per state.  These are the three products that
-    np.einsum("a,aij,jk,alk->il", prior, U, rho, U.conj(), optimize=True)
-    runs for one state, in its order and on operands of its layouts, with
-    the states as a batch axis: every average is bit-identical to that
-    einsum's (capacity.average_state), whose rounding the golden files
-    record.  States go through in chunks whose intermediates hold at most
-    _AVERAGE_CHUNK_BYTES each (one state at least): a whole 256-state
-    block would take 3 MB per intermediate at d = 3 and 190 MB at d = 6.
-    """
-    by_column, conj_t = lifts
-    dim, n = joints.shape[-1], len(prior)
-    chunk = max(1, _AVERAGE_CHUNK_BYTES // (16 * n * dim * dim))
-    out = np.empty_like(joints)
-    for start in range(0, len(joints), chunk):
-        rows = slice(start, start + chunk)
-        u, uc = (by_column, conj_t) if by_column.ndim == 2 else (by_column[rows], conj_t[rows])
-        # jk,aij->aik
-        x = (np.swapaxes(joints[rows], -1, -2) @ u).reshape(-1, dim, n, dim).transpose(0, 2, 3, 1)
-        # aik,alk->ail
-        x = x @ uc
-        # ail,a->il
-        out[rows] = (x.transpose(0, 2, 3, 1).reshape(-1, dim * dim, n) @ prior).reshape(-1, dim, dim)
-    return out
 
 
 def cmd_verify(args) -> int:

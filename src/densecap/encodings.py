@@ -99,6 +99,8 @@ class OperatorBasis:
         d = int(self.dim)
         object.__setattr__(self, "dim", d)
         lams = _stack_of(self.lambdas, (d, d), ValueError, "basis element")
+        if len(lams) != d * d - 1:
+            raise ValueError(f"basis needs d^2 - 1 = {d * d - 1} elements, got {len(lams)}")
         traceless = np.abs(np.trace(lams, axis1=1, axis2=2)) <= 1e-12
         hermitian = np.abs(lams - lams.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12
         bad = np.flatnonzero(~(traceless & hermitian))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .encodings import EncodingEnsemble, lift_ensemble
 from .errors import DimensionMismatch, InvalidState, InvalidTrials
-from .qstate import _BELL_VECTORS, BipartiteState, _is_distribution
+from .qstate import _BELL_VECTORS, BipartiteState, _is_distribution, _partial_trace_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +190,6 @@ def _outcome_distributions(
     s: BipartiteState, e: EncodingEnsemble, decoder: BellDecoder | SingleParticleDecoder
 ) -> np.ndarray:
     """Born-rule outcome probabilities q[a, b] for each message a."""
-    d_a, d_b = s.dims
     if isinstance(decoder, BellDecoder):
         if s.dims != (2, 2):
             raise DimensionMismatch(f"Bell decoder needs a 2x2 split, got {s.dims}")
@@ -199,8 +198,8 @@ def _outcome_distributions(
         signals = lifted @ s.joint.matrix @ lifted.conj().swapaxes(1, 2)
         q = np.real(np.einsum("bi,aij,bj->ab", basis.conj(), signals, basis))
     elif isinstance(decoder, SingleParticleDecoder):
-        basis = _single_particle_basis(decoder, d_a)
-        reduced = np.einsum("ijkj->ik", s.joint.matrix.reshape(d_a, d_b, d_a, d_b))
+        basis = _single_particle_basis(decoder, s.dim_a)
+        reduced = _partial_trace_array(s.joint.matrix, s.dims, "A")
         signals = e.unitaries @ reduced @ e.unitaries.conj().swapaxes(1, 2)
         q = np.real(np.einsum("ib,aij,jb->ab", basis.conj(), signals, basis))
     else:

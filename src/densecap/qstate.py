@@ -193,16 +193,13 @@ def _spectrum_entropies(eigs: np.ndarray) -> np.ndarray:
     return out
 
 
-def von_neumann_entropy(s: DensityMatrix | np.ndarray) -> float:
+def von_neumann_entropy(s: DensityMatrix) -> float:
     """Von Neumann entropy S(rho) = -Tr rho log2 rho in bits.
 
-    Computed from the Hermitian eigenvalues, clipped to [0, 1] before the
-    logarithm.  Accepts a DensityMatrix, whose cached spectrum is used,
-    or a raw Hermitian array.
+    Computed from the state's cached spectrum, clipped to [0, 1] before
+    the logarithm.
     """
-    if isinstance(s, DensityMatrix):
-        return _spectrum_entropy(s.eigenvalues())
-    return _spectrum_entropy(np.clip(np.linalg.eigvalsh(np.asarray(s)), 0.0, 1.0))
+    return _spectrum_entropy(s.eigenvalues())
 
 
 @dataclass(frozen=True, eq=False)

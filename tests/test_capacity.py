@@ -7,8 +7,10 @@ from densecap import (
     BipartiteState,
     DensityMatrix,
     DimensionMismatch,
+    EncodingEnsemble,
     NoStates,
     OrthonormalFrame,
+    antipodal_pair,
     average_state,
     bell_state,
     canonical_qubit_set,
@@ -64,6 +66,35 @@ def grid_search_chi(states, step: float) -> float:
 
     recurse([], ticks)
     return best
+
+
+def reference_ensembles():
+    """(ensemble, state) pairs: the antipodal pair, a qubit set with a
+    non-uniform prior and the qutrit Weyl set with a random prior."""
+    rng = np.random.default_rng(31)
+    qubit_set = canonical_qubit_set(random_orthonormal_frame(rng)).unitaries
+    weyl = weyl_set(3).unitaries
+    return [
+        (antipodal_pair((0.3, -0.4, 0.5)), random_density_matrix(2, rng)),
+        (EncodingEnsemble(2, qubit_set, np.array([0.1, 0.2, 0.3, 0.4])), random_density_matrix(2, rng)),
+        (EncodingEnsemble(3, weyl, rng.dirichlet(np.ones(9))), random_density_matrix(3, rng)),
+    ]
+
+
+@pytest.mark.parametrize("e,rho", reference_ensembles(), ids=["antipodal", "qubit_set", "weyl3"])
+class TestAgainstPerSignalForms:
+    def test_holevo_chi_matches_per_signal_entropies(self, e, rho):
+        signal_entropy = sum(
+            p * von_neumann_entropy(DensityMatrix(u @ rho.matrix @ u.conj().T))
+            for p, u in zip(e.prior, e.unitaries)
+        )
+        expected = von_neumann_entropy(average_state(e, rho)) - signal_entropy
+        assert abs(holevo_chi(e, rho) - expected) < 1e-12
+
+    def test_average_state_matches_optimized_einsum(self, e, rho):
+        us = e.unitaries
+        expected = np.einsum("a,aij,jk,alk->il", e.prior, us, rho.matrix, us.conj(), optimize=True)
+        assert np.max(np.abs(average_state(e, rho).matrix - expected)) < 1e-14
 
 
 class TestAverageState:

@@ -6,7 +6,8 @@ import pytest
 
 from densecap import capacity as cap
 from densecap import ensemble_to_json, state_to_json, werner_state
-from densecap.cli import _averaged_states, _lift_operands, _random_states, load_state, main
+from densecap.capacity import _averaged_states, _lift_operands
+from densecap.cli import _random_states, load_state, main
 from densecap.encodings import EncodingEnsemble, _qubit_set_stack, weyl_set
 from densecap.qstate import PAULI_X, _kron
 from densecap.sampling import _frame_rows
@@ -169,7 +170,7 @@ def reference_json(value) -> str:
 
 def reference_verify(d: int, samples: int, seed: int) -> str:
     """stdout of `verify --d d`, computed sample by sample from the library."""
-    from densecap.cli import _capacity_row
+    from densecap.capacity import _capacity_row
     from densecap.encodings import (
         canonical_qubit_set, gellmann_basis, lift_ensemble, verify_orthogonality, weyl_set,
     )
@@ -640,7 +641,8 @@ class TestDecompositionCounts:
         assert len(calls) <= 5
 
     def test_capacity_row_reuses_cached_spectra(self, monkeypatch):
-        from densecap.cli import _capacity_row
+        from densecap.capacity import _capacity_row
+        from densecap.qstate import von_neumann_entropy
         from densecap.sampling import random_bipartite_state
 
         s = random_bipartite_state((2, 3), np.random.default_rng(4))
@@ -648,9 +650,10 @@ class TestDecompositionCounts:
         calls = count_decompositions(monkeypatch)
         row = _capacity_row(s)
         assert calls == []
-        assert row["c_normal_a"] == cap.normal_capacity(s.reduced_a)
-        assert row["c_normal_b"] == cap.normal_capacity(s.reduced_b)
-        assert row["c_dense_ab"] == cap.dense_capacity(s, "a2b")
-        assert row["c_dense_ba"] == cap.dense_capacity(s, "b2a")
-        assert row["mutual_info"] == cap.mutual_information(s)
+        s_a, s_b, s_ab = (von_neumann_entropy(r) for r in (s.reduced_a, s.reduced_b, s.joint))
+        assert row["c_normal_a"] == math.log2(2) - s_a
+        assert row["c_normal_b"] == math.log2(3) - s_b
+        assert row["c_dense_ab"] == math.log2(2) + s_b - s_ab
+        assert row["c_dense_ba"] == math.log2(3) + s_a - s_ab
+        assert row["mutual_info"] == max(s_a + s_b - s_ab, 0.0)
         assert row["residual_ab"] < 1e-9 and row["asymmetry_residual"] < 1e-9

@@ -7,6 +7,7 @@ from densecap import (
     FrameNotOrthonormal,
     InvalidDimension,
     InvalidEnsemble,
+    OperatorBasis,
     OrthonormalFrame,
     ParseError,
     antipodal_pair,
@@ -169,6 +170,16 @@ class TestGellmann:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimension):
             gellmann_basis(1)
+
+    @pytest.mark.parametrize(
+        "d,lambdas",
+        [(2, (PAULI_X, PAULI_Y)), (3, gellmann_basis(3).lambdas[:5])],
+        ids=["pauli_xy", "gellmann3_first5"],
+    )
+    def test_incomplete_basis_rejected(self, d, lambdas):
+        # orthogonal and traceless, but d^2 - 1 elements are needed
+        with pytest.raises(ValueError, match="d\\^2 - 1"):
+            OperatorBasis(d, lambdas)
 
 
 @pytest.mark.parametrize("build,field", [(gellmann_basis, "lambdas"), (weyl_set, "unitaries")])

@@ -1,10 +1,14 @@
 """Convex-roof correlation functional and its two-qubit oracle.
 
 E(rho_AB) is the minimum over convex decompositions into pure states of
-the average sum of marginal entropies.  The minimizer runs gradient
-descent over the isometries that mix the eigendecomposition; for two
-qubits the Wootters concurrence gives an independent closed-form value
-E = 2 E_F to validate against.
+the average sum of marginal entropies.  The minimizer runs Riemannian
+gradient descent over the isometries that mix the eigendecomposition,
+with Barzilai-Borwein first trial steps, a nonmonotone (Zhang-Hager)
+Armijo test and the best iterate of each restart kept; a restart stops
+after two consecutive iterations that barely change its cost, and
+restart 0 starts just off the eigendecomposition, whose cost still
+bounds the result.  For two qubits the Wootters concurrence gives an
+independent closed-form value E = 2 E_F to validate against.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ _RANK_TOL = 1e-12
 _MAX_ITERATIONS = 2000
 _MAX_HALVINGS = 40
 _ARMIJO = 1e-4
+_NONMONOTONE = 0.85
+_BB_RANGE = (1e-10, 1e10)
+_START_OFFSET = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,20 +155,28 @@ def convex_roof(
     Decompositions are generated from the eigensystem (lam_i, |e_i>) of
     rho_AB as |psi~_k> = sum_i V_ki sqrt(lam_i) |e_i> with V ranging over
     the m x r isometries (V^dag V = 1), p_k = <psi~_k|psi~_k>.  The search
-    is Riemannian steepest descent on this Stiefel manifold (Audenaert,
+    is Riemannian gradient descent on this Stiefel manifold (Audenaert,
     Verstraete & De Moor, PRA 64, 052304 (2001); Roethlisberger, Lehmann &
     Loss, PRA 80, 042301 (2009)): the analytic gradient of the cost,
-    projected onto the tangent space at V, a QR retraction, and Armijo
-    backtracking that starts from each restart's last accepted step.
-    Restarts begin at random isometries, except restart 0, which begins at
-    the eigendecomposition itself, so the result never exceeds its cost.
-    All restarts descend as one batch, each stopping once an iteration
-    lowers its cost by less than tol; the minimum wins, lowest restart
-    index breaking ties.
+    projected onto the tangent space at V, and a QR retraction.  Each
+    iteration's first trial step is the Barzilai-Borwein step of the
+    ambient differences s = V_k - V_{k-1}, y = xi_k - xi_{k-1}, alternating
+    <s,s>/|Re<s,y>| and |Re<s,y>|/<y,y> (clipped to [1e-10, 1e10]; the
+    last accepted step when it is not finite and positive), halved until
+    it passes the Armijo test against the nonmonotone Zhang-Hager reference
+    C_k with eta = 0.85 (Zhang & Hager, SIAM J. Optim. 14, 1043 (2004);
+    Wen & Yin, Math. Program. 142, 397 (2013)).  Restarts begin at random
+    isometries.  Restart 0 begins at the QR retraction of the
+    eigendecomposition plus 1e-2 times a seeded complex Gaussian matrix,
+    drawn after the other restarts' draws, because the eigendecomposition
+    is stationary when the spectrum is degenerate; its best iterate starts
+    as the eigendecomposition itself, so the result never exceeds its cost.  All restarts descend as
+    one batch, each stopping after two consecutive iterations that change
+    its cost by less than tol; each keeps its best iterate, and the lowest
+    best wins, lowest restart index breaking ties.
 
     The returned value is an upper bound on the convex-roof minimum;
-    converged reports whether the winning restart's last step improved
-    by less than tol.
+    converged reports whether the winning restart met the stopping rule.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -181,34 +196,51 @@ def convex_roof(
     n_restarts = int(restarts)
     rng = np.random.default_rng(seed)
     mix = np.zeros((n_restarts, m, rank), dtype=complex)
-    mix[0, :rank, :rank] = np.eye(rank)
     for r in range(1, n_restarts):
         g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
         mix[r], _ = np.linalg.qr(g)
+    # drawn last, so that restarts 1..R-1 start where they always did
+    eig = np.eye(m, rank, dtype=complex)
+    g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    mix[0] = _phase_fixed_qr(eig + _START_OFFSET * g)
 
     def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # total cost per restart and its gradient d cost / d conj(V)
         cost, grad = _rows_cost_grad(np.einsum("rki,iab->rkab", v, basis))
         return cost.sum(axis=1), np.einsum("iab,rkab->rki", basis.conj(), grad)
 
+    def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.sum((a.conj() * b).real, axis=(1, 2))
+
     cost, grad = evaluate(mix)
+    best, best_cost = mix.copy(), cost.copy()
+    best[0], best_cost[0] = eig, evaluate(eig[None])[0][0]
+    # Zhang-Hager reference C_k, a weighted mean of past costs, and its weight Q_k
+    ref, weight = cost.copy(), np.ones(n_restarts)
     step = np.ones(n_restarts)
-    last_improvement = np.full(n_restarts, np.inf)
+    # s = 0 on the first iteration, so its step falls back to 1
+    prev, prev_xi = mix.copy(), np.zeros_like(mix)
+    quiet = np.zeros(n_restarts, dtype=int)
     active = np.arange(n_restarts)
-    for _ in range(_MAX_ITERATIONS):
+    for it in range(_MAX_ITERATIONS):
         v = mix[active]
         vg = v.conj().transpose(0, 2, 1) @ grad[active]
         xi = grad[active] - v @ ((vg + vg.conj().transpose(0, 2, 1)) / 2.0)
+        ds, dy = v - prev[active], xi - prev_xi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sy = np.abs(inner(ds, dy))
+            bb = sy / inner(dy, dy) if it % 2 else inner(ds, ds) / sy
+        t = np.where(np.isfinite(bb) & (bb > 0.0), np.clip(bb, *_BB_RANGE), step[active])
+        prev[active], prev_xi[active] = v, xi
         # cost falls along -xi at rate 2 |xi|^2
-        decrease = _ARMIJO * 2.0 * np.sum(np.abs(xi) ** 2, axis=(1, 2))
-        old = cost[active]
-        t = step[active]
+        decrease = _ARMIJO * 2.0 * inner(xi, xi)
+        old, bound = cost[active], ref[active]
         pending = np.arange(active.size)
         for _ in range(_MAX_HALVINGS):
             # QR retraction: V - t xi has full column rank
             cand = _phase_fixed_qr(v[pending] - t[pending, None, None] * xi[pending])
             cand_cost, cand_grad = evaluate(cand)
-            ok = cand_cost <= old[pending] - t[pending] * decrease[pending]
+            ok = cand_cost <= bound[pending] - t[pending] * decrease[pending]
             accepted = active[pending[ok]]
             mix[accepted] = cand[ok]
             cost[accepted] = cand_cost[ok]
@@ -218,15 +250,21 @@ def convex_roof(
             if pending.size == 0:
                 break
             t[pending] /= 2.0
-        last_improvement[active] = old - cost[active]
-        active = active[last_improvement[active] >= tol]
+        new = cost[active]
+        better = active[new < best_cost[active]]
+        best[better], best_cost[better] = mix[better], cost[better]
+        weight_next = _NONMONOTONE * weight[active] + 1.0
+        ref[active] = (_NONMONOTONE * weight[active] * bound + new) / weight_next
+        weight[active] = weight_next
+        quiet[active] = np.where(np.abs(old - new) < tol, quiet[active] + 1, 0)
+        active = active[quiet[active] < 2]
         if active.size == 0:
             break
 
-    winner = int(np.argmin(cost))
-    converged = bool(last_improvement[winner] < tol)
+    winner = int(np.argmin(best_cost))
+    converged = bool(quiet[winner] >= 2)
 
-    flat = np.einsum("ki,iab->kab", mix[winner], basis).reshape(m, d_a * d_b)
+    flat = np.einsum("ki,iab->kab", best[winner], basis).reshape(m, d_a * d_b)
     weights = np.sum(np.abs(flat) ** 2, axis=1)
     nonzero = weights > 1e-12
     flat, weights = flat[nonzero], weights[nonzero]

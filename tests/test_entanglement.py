@@ -17,6 +17,7 @@ from densecap import (
     von_neumann_entropy,
     werner_state,
 )
+from densecap import entanglement
 from densecap.entanglement import _rows_cost_grad
 from densecap.qstate import _phase_fixed_qr as _retract
 from densecap.sampling import random_bipartite_state, random_pure_state
@@ -164,6 +165,58 @@ def test_qr_retraction():
     assert np.allclose(_retract(q), q, atol=1e-12)
 
 
+def steepest_descent_roof(s: BipartiteState, restarts: int, seed: int, tol: float = 1e-6) -> float:
+    """Reference search: steepest descent with Armijo backtracking from each restart's last accepted step.
+
+    Restart 0 starts at the eigendecomposition, restarts 1..R-1 at the same
+    seeded isometries as convex_roof; each stops once an iteration lowers
+    its cost by less than tol, and the lowest final cost is returned.
+    """
+    d_a, d_b = s.dims
+    lam, vecs = np.linalg.eigh(s.joint.matrix)
+    keep = lam > 1e-12
+    lam, vecs = lam[keep], vecs[:, keep]
+    rank = int(lam.size)
+    m = min(rank * rank, 2 * rank)
+    basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
+    rng = np.random.default_rng(seed)
+    mix = np.zeros((restarts, m, rank), dtype=complex)
+    mix[0, :rank, :rank] = np.eye(rank)
+    for r in range(1, restarts):
+        mix[r], _ = np.linalg.qr(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))
+
+    def evaluate(v):
+        cost, grad = _rows_cost_grad(np.einsum("rki,iab->rkab", v, basis))
+        return cost.sum(axis=1), np.einsum("iab,rkab->rki", basis.conj(), grad)
+
+    cost, grad = evaluate(mix)
+    step = np.ones(restarts)
+    active = np.arange(restarts)
+    for _ in range(2000):
+        v = mix[active]
+        vg = v.conj().transpose(0, 2, 1) @ grad[active]
+        xi = grad[active] - v @ ((vg + vg.conj().transpose(0, 2, 1)) / 2.0)
+        decrease = 1e-4 * 2.0 * np.sum(np.abs(xi) ** 2, axis=(1, 2))
+        old = cost[active]
+        t = step[active]
+        pending = np.arange(active.size)
+        for _ in range(40):
+            cand = _retract(v[pending] - t[pending, None, None] * xi[pending])
+            cand_cost, cand_grad = evaluate(cand)
+            ok = cand_cost <= old[pending] - t[pending] * decrease[pending]
+            accepted = active[pending[ok]]
+            mix[accepted], cost[accepted], grad[accepted] = cand[ok], cand_cost[ok], cand_grad[ok]
+            step[accepted] = t[pending[ok]]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            t[pending] /= 2.0
+        active = active[old - cost[active] >= tol]
+        if active.size == 0:
+            break
+    return float(cost.min())
+
+
 class TestConvexRoof:
     def test_pure_bell_state(self):
         res = convex_roof(bell_state(), restarts=4, seed=0)
@@ -211,6 +264,36 @@ class TestConvexRoof:
         assert res.converged
         assert res.value <= decomposition_cost(eigendecomposition_of(s)) + 1e-9
         assert np.linalg.norm(res.decomposition.state() - s.joint.matrix) < 1e-8
+
+    def test_no_worse_than_steepest_descent(self):
+        rng = np.random.default_rng(21)
+        for dims in ((2, 2), (2, 2), (2, 3), (2, 3), (3, 3), (3, 3)):
+            s = random_bipartite_state(dims, rng, rank=int(rng.integers(2, 5)))
+            res = convex_roof(s, restarts=4, seed=22)
+            assert res.converged
+            assert res.value <= steepest_descent_roof(s, restarts=4, seed=22) + 1e-5
+
+    def test_cost_evaluations_on_werner(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return _rows_cost_grad(rows)
+
+        monkeypatch.setattr(entanglement, "_rows_cost_grad", counted)
+        convex_roof(werner_state(0.85), restarts=4, seed=0)
+        # steepest descent from the last accepted step took 49
+        assert len(calls) == 23
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_single_restart_leaves_stationary_eigendecomposition(self, p, seed):
+        # the eigendecomposition is a stationary point of every Werner state's cost
+        s = werner_state(p)
+        _, ef = concurrence_oracle(s)
+        res = convex_roof(s, restarts=1, seed=seed)
+        assert abs(res.value - 2.0 * ef) < 5e-3
+        assert res.value <= decomposition_cost(eigendecomposition_of(s)) + 1e-9
 
     def test_separable_random_product_mixture(self):
         rng = np.random.default_rng(6)

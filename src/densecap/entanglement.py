@@ -199,7 +199,7 @@ def convex_roof(
     for r in range(1, n_restarts):
         g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
         mix[r], _ = np.linalg.qr(g)
-    # drawn last, so that restarts 1..R-1 start where they always did
+    # drawn after restarts 1..R-1, whose starts then do not depend on it
     eig = np.eye(m, rank, dtype=complex)
     g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
     mix[0] = _phase_fixed_qr(eig + _START_OFFSET * g)

@@ -247,19 +247,22 @@ def optimize_prior(
     holds chi at the current prior after each of them.  Non-convergence
     within max_iter is reported via converged=False, never an exception.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not states:
         raise NoStates("optimize_prior needs at least one state")
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise DimensionMismatch("signal states have mixed dimensions")
-    n = len(states)
-    mats = np.stack([s.matrix for s in states])
-    flat_t = mats.transpose(0, 2, 1).reshape(n, -1)
     entropies = np.array([von_neumann_entropy(s) for s in states])
+    return _optimize_prior_stack(np.stack([s.matrix for s in states]), entropies, tol, max_iter)
+
+
+def _optimize_prior_stack(mats: np.ndarray, entropies: np.ndarray, tol: float, max_iter: int) -> CapacityReport:
+    """optimize_prior on a stack (n, d, d) of validated states with entropies S(rho_a)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    flat_t = mats.transpose(0, 2, 1).reshape(len(mats), -1)
     trace: list[float] = []
 
     def evaluate(prior: np.ndarray) -> tuple:
@@ -269,7 +272,7 @@ def optimize_prior(
         chi = max(_spectrum_entropy(np.clip(mu, 0.0, 1.0)) - float(prior @ entropies), 0.0)
         return chi, divergences, avg, mu, vecs
 
-    pi = np.full(n, 1.0 / n)
+    pi = np.full(len(mats), 1.0 / len(mats))
     chi, divergences, avg, mu, vecs = evaluate(pi)
     trace.append(chi)
     gap = float(divergences.max()) - chi
@@ -378,8 +381,8 @@ def dense_capacity_via_ensemble(
         lifted = lift_ensemble(weyl_set(s.dim_b), s.dim_a, side="b")
     else:
         raise ValueError(f"direction must be 'a2b' or 'b2a', got {direction!r}")
-    signals = [DensityMatrix(u @ s.joint.matrix @ u.conj().T) for u in lifted.unitaries]
-    return optimize_prior(signals, tol=tol, max_iter=max_iter)
+    signals = lifted.unitaries @ s.joint.matrix @ lifted.unitaries.conj().transpose(0, 2, 1)
+    return _optimize_prior_stack(signals, _spectrum_entropies(_validated_spectra(signals)), tol, max_iter)
 
 
 def mutual_information(s: BipartiteState) -> float:

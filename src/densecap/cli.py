@@ -11,9 +11,11 @@ invalid states).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -57,10 +59,15 @@ MAX_RESTARTS = 1_000
 MAX_TRIALS = 10_000_000_000
 # verify draws and checks its random samples in blocks of this many
 VERIFY_BLOCK = 256
+# a Werner sweep is computed and written in blocks of this many points
+SWEEP_BLOCK = 1024
+# capacity's CSV header, and the row keys of its columns after param
+_CAPACITY_CSV_HEADER = ["param", "c_normal", "c_dense_ab", "c_dense_ba", "mutual_info"]
+_CAPACITY_CSV_KEYS = ("c_normal_a", "c_dense_ab", "c_dense_ba", "mutual_info")
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    return "%.12g" % x
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -117,23 +124,27 @@ def _json_text(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
+def _open_out(out: str | None):
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with _open_out(out) as fh:
+        fh.write(text + "\n")
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
     _emit(_json_text(payload), out)
 
 
+def _csv_field(x) -> str:
+    """x as a CSV field: floats by _fmt, quoted as RFC 4180 asks where it holds , " CR or LF."""
+    text = _fmt(x) if isinstance(x, float) else str(x)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    _emit("\n".join(lines), out)
+    _emit("\n".join(",".join(map(_csv_field, row)) for row in [header, *rows]), out)
 
 
 def _load_json(path: str):
@@ -213,6 +224,45 @@ def _parse_sweep(spec: str) -> np.ndarray:
     return values[values <= p1 + 1e-12]
 
 
+def _sweep_blocks(params: np.ndarray):
+    """The param and capacity columns of each block of SWEEP_BLOCK points, every point's range checked first."""
+    above = params[np.searchsorted(params, 1.0, "right") :]
+    for start in range(0, len(params), SWEEP_BLOCK):
+        ps = params[start : start + SWEEP_BLOCK]
+        joints = werner_matrices(ps)  # raises for the block's first point outside [-1/3, 1]
+        if start == 0 and len(above):  # params ascend, so any later point outside lies above 1
+            werner_matrices(above[:1])
+        cols, _, _ = _stack_columns(joints, _validated_spectra(joints), (2, 2))
+        yield {"param": ps, **cols}
+
+
+def _write_sweep(args, blocks) -> bool:
+    """Write the sweep of an iterator of _sweep_blocks, formatting each column once; True if all pass."""
+    first = next(blocks)
+    if args.format == "csv":
+        keys, number, sep = ("param", *_CAPACITY_CSV_KEYS), _fmt, "\n"
+        head, template = ",".join(_CAPACITY_CSV_HEADER) + sep, ",".join(["%s"] * len(keys))
+    else:  # one row template, and the payload around the rows, both laid out by _json_text
+        keys, number, sep = list(first), _json_float, ",\n    "  # the rows sit two levels deep
+        template = _json_text(dict.fromkeys(keys), sep[1:]).replace("null", "%s")
+        payload = {"command": "capacity", "family": "werner", "sweep": args.sweep, "rows": [None], "pass": None}
+        head, middle, end = _json_text(payload).rsplit("null", 2)
+    ok = True
+    with _open_out(args.out) as fh:
+        fh.write(head)
+        for i, cols in enumerate(chain([first], blocks)):
+            worst = np.maximum(np.maximum(cols["residual_ab"], cols["residual_ba"]), cols["asymmetry_residual"])
+            ok = ok and bool(np.all(worst < args.tol))
+            texts = []
+            for key in keys:  # each distinct value (bit pattern) of a column is formatted once
+                values, inverse = np.unique(cols[key].view(np.int64), return_inverse=True)
+                texts.append(np.array(list(map(number, values.view(float).tolist())), dtype=object)[inverse].tolist())
+            rows = sep.join([template] * len(texts[0])) % tuple(chain.from_iterable(zip(*texts)))
+            fh.write(sep + rows if i else rows)
+        fh.write("\n" if args.format == "csv" else middle + _json_text(ok) + end + "\n")
+    return ok
+
+
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParseError(f"--tol must be finite and > 0, got {tol}")
@@ -225,32 +275,7 @@ def cmd_capacity(args) -> int:
             raise ParseError(f"--sweep sets p itself; pass --state werner, got {args.state!r}")
         if args.dims or args.cross_check:
             raise ParseError("--sweep cannot be combined with --dims or --cross-check")
-        params = _parse_sweep(args.sweep)
-        joints = werner_matrices(params)
-        cols, _, _ = _stack_columns(joints, _validated_spectra(joints), (2, 2))
-        worst = np.maximum(np.maximum(cols["residual_ab"], cols["residual_ba"]), cols["asymmetry_residual"])
-        ok = bool(np.all(worst < args.tol))
-        params = params.tolist()
-        cols = {key: col.tolist() for key, col in cols.items()}
-        if args.format == "csv":
-            _emit_csv(
-                ["param", "c_normal", "c_dense_ab", "c_dense_ba", "mutual_info"],
-                list(zip(params, cols["c_normal_a"], cols["c_dense_ab"], cols["c_dense_ba"], cols["mutual_info"])),
-                args.out,
-            )
-        else:
-            payload = {
-                "command": "capacity",
-                "family": "werner",
-                "sweep": args.sweep,
-                "rows": [
-                    dict(param=p, **{key: col[i] for key, col in cols.items()})
-                    for i, p in enumerate(params)
-                ],
-                "pass": ok,
-            }
-            _emit_json(payload, args.out)
-        return 0 if ok else 1
+        return 0 if _write_sweep(args, _sweep_blocks(_parse_sweep(args.sweep))) else 1
 
     state = load_state(args.state)
     if isinstance(state, DensityMatrix) and not args.dims:
@@ -265,11 +290,7 @@ def cmd_capacity(args) -> int:
                 "pass": True,
             }
             if args.format == "csv":
-                _emit_csv(
-                    ["param", "c_normal", "c_dense_ab", "c_dense_ba", "mutual_info"],
-                    [[args.state, payload["c_normal"], "", "", ""]],
-                    args.out,
-                )
+                _emit_csv(_CAPACITY_CSV_HEADER, [[args.state, payload["c_normal"], "", "", ""]], args.out)
             else:
                 _emit_json(payload, args.out)
             return 0
@@ -289,11 +310,7 @@ def cmd_capacity(args) -> int:
         ok = ok and payload["cross_check"]["difference"] < 1e-6
     payload["pass"] = ok
     if args.format == "csv":
-        _emit_csv(
-            ["param", "c_normal", "c_dense_ab", "c_dense_ba", "mutual_info"],
-            [[args.state, row["c_normal_a"], row["c_dense_ab"], row["c_dense_ba"], row["mutual_info"]]],
-            args.out,
-        )
+        _emit_csv(_CAPACITY_CSV_HEADER, [[args.state, *(row[key] for key in _CAPACITY_CSV_KEYS)]], args.out)
     else:
         _emit_json(payload, args.out)
     return 0 if ok else 1

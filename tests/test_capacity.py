@@ -566,6 +566,18 @@ class TestCrossCheck:
         assert report.chi == pytest.approx(2.0 * math.log2(3), abs=1e-7)
         assert report.chi == pytest.approx(dense_capacity(s, "a2b"), abs=1e-7)
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    def test_stacked_signals_match_per_signal_states(self, dims):
+        # the signal stack, validated at once, reproduces optimize_prior on one DensityMatrix per signal
+        s = random_bipartite_state(dims, np.random.default_rng(31))
+        for direction, side, d, other in (("a2b", "a", dims[0], dims[1]), ("b2a", "b", dims[1], dims[0])):
+            us = lift_ensemble(weyl_set(d), other, side=side).unitaries
+            per_signal = optimize_prior([DensityMatrix(u @ s.joint.matrix @ u.conj().T) for u in us])
+            report = dense_capacity_via_ensemble(s, direction)
+            assert report.chi == per_signal.chi
+            assert np.array_equal(report.optimal_prior, per_signal.optimal_prior)
+            assert report.chi_trace == per_signal.chi_trace
+
 
 def test_entropy_additivity_used_by_dense_formula():
     # S((1/d) x rho_B) = log2 d + S(rho_B), the step behind the closed form

@@ -168,6 +168,35 @@ def reference_json(value) -> str:
     return json.dumps(_reference_jsonable(value), indent=2)
 
 
+def reference_sweep(spec: str, fmt: str, tol: float = 1e-9) -> str:
+    """stdout of `capacity --state werner --sweep spec`, as the row-by-row path wrote it:
+    every point in one stack, then one dict per row through _json_text, or one CSV line per row."""
+    from densecap.capacity import _stack_columns
+    from densecap.cli import _json_text, _parse_sweep
+    from densecap.qstate import _validated_spectra, werner_matrices
+
+    params = _parse_sweep(spec)
+    joints = werner_matrices(params)
+    cols, _, _ = _stack_columns(joints, _validated_spectra(joints), (2, 2))
+    worst = np.maximum(np.maximum(cols["residual_ab"], cols["residual_ba"]), cols["asymmetry_residual"])
+    ok = bool(np.all(worst < tol))
+    params = params.tolist()
+    cols = {key: col.tolist() for key, col in cols.items()}
+    if fmt == "csv":
+        lines = ["param,c_normal,c_dense_ab,c_dense_ba,mutual_info"]
+        for row in zip(params, cols["c_normal_a"], cols["c_dense_ab"], cols["c_dense_ba"], cols["mutual_info"]):
+            lines.append(",".join(f"{float(x):.12g}" for x in row))
+        return "\n".join(lines) + "\n"
+    payload = {
+        "command": "capacity",
+        "family": "werner",
+        "sweep": spec,
+        "rows": [dict(param=p, **{key: col[i] for key, col in cols.items()}) for i, p in enumerate(params)],
+        "pass": ok,
+    }
+    return _json_text(payload) + "\n"
+
+
 def reference_verify(d: int, samples: int, seed: int) -> str:
     """stdout of `verify --d d`, computed sample by sample from the library."""
     from densecap.capacity import _capacity_row
@@ -611,6 +640,89 @@ class TestDeterminism:
         assert payload["pass"] is True
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+class TestSweepBlocks:
+    @pytest.mark.parametrize(
+        "spec",
+        ["0:1:0.0004", "-0.3333333333333333:1:0.0005", "-0.3333333333333333:0.5:0.03125", "0:1:0.02", "0.25:0.25:1"],
+        ids=["partial-last-block", "minus-third-to-one", "from-minus-third", "one-block", "single-point"],
+    )
+    def test_matches_row_by_row_path(self, capsys, fmt, spec):
+        code, out = run(capsys, ["capacity", "--state", "werner", f"--sweep={spec}", "--format", fmt])
+        assert code == 0
+        assert out == reference_sweep(spec, fmt)
+
+    @pytest.mark.parametrize("block", [1, 5, 7])
+    def test_small_blocks(self, capsys, monkeypatch, fmt, block):
+        import densecap.cli as cli
+
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        # 21 points (a partial last block), 10 points (two blocks of 5), one point
+        for spec in ("0:1:0.05", "0:0.9:0.1", "0.5:0.5:1"):
+            code, out = run(capsys, ["capacity", "--state", "werner", f"--sweep={spec}", "--format", fmt])
+            assert code == 0
+            assert out == reference_sweep(spec, fmt), (block, spec)
+
+    def test_out_flag(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"sweep.{fmt}"
+        spec = "0:1:0.0004"
+        code, out = run(capsys, ["capacity", "--state", "werner", f"--sweep={spec}", "--format", fmt, "--out", str(path)])
+        assert code == 0 and out == ""
+        assert path.read_text() == reference_sweep(spec, fmt)
+
+    def test_failing_tolerance(self, capsys, fmt):
+        spec = "0:1:0.0004"
+        code, out = run(capsys, ["capacity", "--state", "werner", f"--sweep={spec}", "--format", fmt, "--tol", "1e-17"])
+        assert code == 1
+        assert out == reference_sweep(spec, fmt, tol=1e-17)
+        assert fmt == "csv" or json.loads(out)["pass"] is False
+
+    def test_out_of_range_in_a_later_block_writes_nothing(self, capsys, tmp_path, fmt):
+        from densecap.cli import SWEEP_BLOCK, _parse_sweep
+
+        spec = "0:1.5:0.0005"
+        params = _parse_sweep(spec)
+        assert params[SWEEP_BLOCK - 1] <= 1.0  # the first block is in range
+        path = tmp_path / "sweep.out"
+        for out_flag in ([], ["--out", str(path)]):
+            argv = ["capacity", "--state", "werner", f"--sweep={spec}", "--format", fmt, *out_flag]
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: werner parameter {params[params > 1.0][0]} outside [-1/3, 1]\n"
+        assert not path.exists()
+
+    def test_memory_flat_in_sweep_length(self, capsys, tmp_path, fmt):
+        import tracemalloc
+
+        def peak(step):
+            tracemalloc.start()
+            try:
+                argv = ["capacity", "--state", "werner", "--sweep", f"0:1:{step}", "--format", fmt]
+                assert main([*argv, "--out", str(tmp_path / "sweep.out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(0.0002), peak(0.00002)  # 5,001 and 50,001 points
+        assert large <= 1.5 * small, (small, large)
+
+
+def test_csv_quotes_fields_with_separators(capsys, tmp_path):
+    import csv
+
+    code, out = run(capsys, ["capacity", "--state", "bloch:0,0,1", "--format", "csv"])
+    assert code == 0
+    assert out == 'param,c_normal,c_dense_ab,c_dense_ba,mutual_info\n"bloch:0,0,1",1,,,\n'
+    path = tmp_path / 'pair,"a".json'
+    path.write_text(json.dumps(state_to_json(werner_state(0.5))))
+    code, out = run(capsys, ["capacity", "--state", str(path), "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert [len(row) for row in rows] == [5, 5]
+    assert rows[1][0] == str(path)
+
+
 def test_load_state_names():
     from densecap import BipartiteState, DensityMatrix
 
@@ -639,6 +751,17 @@ class TestDecompositionCounts:
         code, payload = run_json(capsys, ["capacity", "--state", "werner", "--sweep", "0:1:0.001"])
         assert code == 0 and len(payload["rows"]) == 1001
         assert len(calls) <= 5
+
+    def test_cross_check_count_independent_of_signal_count(self, capsys, monkeypatch):
+        calls = count_decompositions(monkeypatch)
+        counts = []
+        for d in (2, 3, 4):  # d_A^2 = 4, 9 and 16 signal states
+            calls.clear()
+            code, payload = run_json(capsys, ["capacity", "--state", f"max-entangled:{d}", "--cross-check"])
+            assert code == 0 and payload["cross_check"]["iterations"] == 1
+            counts.append(len(calls))
+        # the state and its two reductions, the signal stack, the optimizer's one eigh and its report
+        assert counts == [6, 6, 6]
 
     def test_capacity_row_reuses_cached_spectra(self, monkeypatch):
         from densecap.capacity import _capacity_row

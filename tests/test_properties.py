@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) of the toolkit's invariants."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -32,7 +33,7 @@ from densecap import (  # noqa: E402
     weyl_set,
     werner_state,
 )
-from densecap.cli import _json_text, main  # noqa: E402
+from densecap.cli import _json_text, _write_sweep, main  # noqa: E402
 from test_capacity import reference_blahut_arimoto, reference_gap  # noqa: E402
 from test_cli import reference_json  # noqa: E402
 from densecap.encodings import EncodingEnsemble  # noqa: E402
@@ -269,3 +270,30 @@ JSON_VALUES = st.recursive(
 @given(value=JSON_VALUES)
 def test_json_emitter_matches_standard_encoder(value):
     assert _json_text(value) == reference_json(value)
+
+
+SWEEP_KEYS = (
+    "param", "c_normal_a", "c_normal_b", "c_dense_ab", "c_dense_ba", "mutual_info",
+    "residual_ab", "residual_ba", "asymmetry_residual",
+)
+SWEEP_BLOCKS = st.lists(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.fixed_dictionaries({key: st.lists(FLOATS, min_size=n, max_size=n) for key in SWEEP_KEYS})
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(blocks=SWEEP_BLOCKS, sweep=st.text() | st.sampled_from(["null", '"rows": [null], "pass": null']))
+def test_sweep_block_renderer_matches_json_emitter(blocks, sweep):
+    args = argparse.Namespace(format="json", sweep=sweep, tol=1e-9, out=None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        ok = _write_sweep(args, iter([{key: np.array(block[key]) for key in SWEEP_KEYS} for block in blocks]))
+    rows = [dict(zip(SWEEP_KEYS, values)) for block in blocks for values in zip(*(block[key] for key in SWEEP_KEYS))]
+    residuals = ("residual_ab", "residual_ba", "asymmetry_residual")
+    assert ok == all(row[key] < 1e-9 for row in rows for key in residuals)
+    payload = {"command": "capacity", "family": "werner", "sweep": sweep, "rows": rows, "pass": ok}
+    assert out.getvalue() == _json_text(payload) + "\n"

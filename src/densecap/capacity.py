@@ -8,7 +8,8 @@ mutual information that equals their difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +45,20 @@ class CapacityReport:
     the average state each.  chi_trace holds chi at the current prior
     after each of them.  It never decreases, except that a certified last
     point may sit below its predecessor by less than tol (in practice by
-    rounding).
+    rounding).  average_state is validated on first read, from the
+    average matrix at optimal_prior that an evaluation already decomposed.
     """
 
     chi: float
     optimal_prior: np.ndarray
-    average_state: DensityMatrix
+    _average: np.ndarray = field(repr=False)
     iterations: int
     converged: bool
     chi_trace: tuple[float, ...]
+
+    @cached_property
+    def average_state(self) -> DensityMatrix:
+        return DensityMatrix(self._average)
 
     def to_json(self) -> dict:
         return {
@@ -301,7 +307,7 @@ def _optimize_prior_stack(mats: np.ndarray, entropies: np.ndarray, tol: float, m
         trace.append(chi)
         gap = float(divergences.max()) - chi
     converged = gap < tol
-    return CapacityReport(chi, pi, DensityMatrix(avg), len(trace), converged, tuple(trace))
+    return CapacityReport(chi, pi, avg, len(trace), converged, tuple(trace))
 
 
 def _capacity_columns(d_a: int, d_b: int, s_a, s_b, s_ab) -> dict:

@@ -11,7 +11,9 @@ invalid states).
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -185,26 +187,22 @@ def load_state(spec: str) -> DensityMatrix | BipartiteState:
 
 def _as_bipartite(state, dims_flag: str | None) -> BipartiteState:
     if dims_flag:
-        parts = dims_flag.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"--dims needs two integers, got {dims_flag!r}")
         try:
-            dims = (int(parts[0]), int(parts[1]))
-        except ValueError:
+            d_a, d_b = (int(part) for part in dims_flag.split(","))
+        except ValueError:  # a part that is not an integer, or not two parts
             raise ParseError(f"--dims needs two integers, got {dims_flag!r}") from None
         joint = state.joint if isinstance(state, BipartiteState) else state
-        return BipartiteState(joint, dims)
+        return BipartiteState(joint, (d_a, d_b))
     if isinstance(state, BipartiteState):
         return state
     root = math.isqrt(state.dim)
     if root * root != state.dim:
-        raise InvalidState(
-            f"cannot infer a bipartite split of dimension {state.dim}; pass --dims"
-        )
+        raise InvalidState(f"cannot infer a bipartite split of dimension {state.dim}; pass --dims")
     return BipartiteState(state, (root, root))
 
 
-def _parse_sweep(spec: str) -> np.ndarray:
+def _parse_sweep(spec: str) -> tuple[float, float, int]:
+    """The sweep's points p0 + step * k, k < n, as (p0, step, n); Python rounds them as numpy does."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ParseError(f"--sweep needs p0:p1:step, got {spec!r}")
@@ -220,18 +218,17 @@ def _parse_sweep(spec: str) -> np.ndarray:
     count = int(round(min((p1 - p0) / step, MAX_SWEEP_POINTS))) + 1
     if count > MAX_SWEEP_POINTS:
         raise ParseError(f"--sweep {spec!r} has more than {MAX_SWEEP_POINTS:,} points")
-    values = p0 + step * np.arange(count)
-    return values[values <= p1 + 1e-12]
+    return p0, step, bisect.bisect_right(range(count), p1 + 1e-12, key=lambda k: p0 + step * k)
 
 
-def _sweep_blocks(params: np.ndarray):
+def _sweep_blocks(p0: float, step: float, n: int):
     """The param and capacity columns of each block of SWEEP_BLOCK points, every point's range checked first."""
-    above = params[np.searchsorted(params, 1.0, "right") :]
-    for start in range(0, len(params), SWEEP_BLOCK):
-        ps = params[start : start + SWEEP_BLOCK]
-        joints = werner_matrices(ps)  # raises for the block's first point outside [-1/3, 1]
-        if start == 0 and len(above):  # params ascend, so any later point outside lies above 1
-            werner_matrices(above[:1])
+    above = bisect.bisect_right(range(n), 1.0, key=lambda k: p0 + step * k)
+    # the points ascend, so the first outside [-1/3, 1], if any, is p0 or the first above 1
+    werner_matrices([p0, p0 + step * min(above, n - 1)])
+    for start in range(0, n, SWEEP_BLOCK):
+        ps = p0 + step * np.arange(start, min(start + SWEEP_BLOCK, n))
+        joints = werner_matrices(ps)
         cols, _, _ = _stack_columns(joints, _validated_spectra(joints), (2, 2))
         yield {"param": ps, **cols}
 
@@ -275,7 +272,7 @@ def cmd_capacity(args) -> int:
             raise ParseError(f"--sweep sets p itself; pass --state werner, got {args.state!r}")
         if args.dims or args.cross_check:
             raise ParseError("--sweep cannot be combined with --dims or --cross-check")
-        return 0 if _write_sweep(args, _sweep_blocks(_parse_sweep(args.sweep))) else 1
+        return 0 if _write_sweep(args, _sweep_blocks(*_parse_sweep(args.sweep))) else 1
 
     state = load_state(args.state)
     if isinstance(state, DensityMatrix) and not args.dims:
@@ -322,11 +319,10 @@ def _gaussian_blocks(rng: np.random.Generator, samples: int, width: int):
         yield rng.standard_normal((min(VERIFY_BLOCK, samples - start), width))
 
 
-def _random_states(draws: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """random_density_matrix(d) of each row of draws, validated, and the spectra."""
+def _random_states(draws: np.ndarray, d: int) -> np.ndarray:
+    """random_density_matrix(d) of each row of draws, unvalidated."""
     g = draws[:, : d * d] + 1j * draws[:, d * d : 2 * d * d]
-    states = _ginibre_states(g.reshape(-1, d, d))
-    return states, _validated_spectra(states)
+    return _ginibre_states(g.reshape(-1, d, d))
 
 
 def _max_norm(diffs: np.ndarray) -> float:
@@ -334,26 +330,19 @@ def _max_norm(diffs: np.ndarray) -> float:
     return max(float(np.linalg.norm(m)) for m in diffs)
 
 
-def _frame_twirl_residual(rng: np.random.Generator, samples: int) -> float:
-    """Largest distance from 1/2 of random qubit states twirled by the qubit
-    set of a random frame, drawn before each state."""
+def _twirl_residual(rng: np.random.Generator, samples: int, e=None) -> float:
+    """Largest distance from 1/d of random states twirled by the ensemble e, or for
+    e = None by the qubit set of a random frame, drawn before each qubit state."""
+    d, frame = (2, 9) if e is None else (e.dim, 0)
+    prior = np.full(4, 0.25) if e is None else e.prior
     worst = 0.0
-    for draws in _gaussian_blocks(rng, samples, 9 + 8):
-        states, _ = _random_states(draws[:, 9:], 2)
-        us = _qubit_set_stack(_frame_rows(draws[:, :9].reshape(-1, 3, 3)))
-        avg = np.einsum("a,saij,sjk,salk->sil", np.full(4, 0.25), us, states, us.conj())
-        worst = max(worst, _max_norm(avg - np.eye(2) / 2))
-    return worst
-
-
-def _ensemble_twirl_residual(e, rng: np.random.Generator, samples: int) -> float:
-    """Largest distance from 1/d of random states twirled by e."""
-    us = e.unitaries
-    worst = 0.0
-    for draws in _gaussian_blocks(rng, samples, 2 * e.dim * e.dim):
-        states, _ = _random_states(draws, e.dim)
-        avg = np.einsum("a,aij,sjk,alk->sil", e.prior, us, states, us.conj())
-        worst = max(worst, _max_norm(avg - np.eye(e.dim) / e.dim))
+    for draws in _gaussian_blocks(rng, samples, frame + 2 * d * d):
+        if e is None:
+            us = _qubit_set_stack(_frame_rows(draws[:, :9].reshape(-1, 3, 3)))
+        else:  # the one ensemble, as a stack of one per state
+            us = np.broadcast_to(e.unitaries, (len(draws), *e.unitaries.shape))
+        avg = np.einsum("a,saij,sjk,salk->sil", prior, us, _random_states(draws[:, frame:], d), us.conj())
+        worst = max(worst, _max_norm(avg - np.eye(d) / d))
     return worst
 
 
@@ -367,22 +356,20 @@ def cmd_verify(args) -> int:
     checks: list[dict] = []
 
     def record(name: str, residual: float, tolerance: float) -> None:
-        checks.append(
-            {"check": name, "max_residual": residual, "tolerance": tolerance, "pass": residual < tolerance}
-        )
+        checks.append({"check": name, "max_residual": residual, "tolerance": tolerance, "pass": residual < tolerance})
 
     if args.ensemble:
         e = ensemble_from_json(_load_json(args.ensemble))
         gram, _ = verify_orthogonality(e)
         record("ensemble_gram", float(np.max(np.abs(gram - np.eye(len(e))))), 1e-10)
-        record("ensemble_twirl", _ensemble_twirl_residual(e, rng, args.samples), 1e-10)
+        record("ensemble_twirl", _twirl_residual(rng, args.samples, e), 1e-10)
     else:
         if d == 2:
-            record("frame_twirl", _frame_twirl_residual(rng, args.samples), 1e-12)
+            record("frame_twirl", _twirl_residual(rng, args.samples), 1e-12)
         weyl = weyl_set(d)
         gram, _ = verify_orthogonality(weyl)
         record("weyl_gram", float(np.max(np.abs(d * gram - d * np.eye(len(weyl))))), 1e-12)
-        record("weyl_twirl", _ensemble_twirl_residual(weyl, rng, args.samples), 1e-10)
+        record("weyl_twirl", _twirl_residual(rng, args.samples, weyl), 1e-10)
         basis = gellmann_basis(d).lambdas
         basis_gram = np.einsum("aij,bji->ab", basis, basis)
         record(
@@ -398,8 +385,8 @@ def cmd_verify(args) -> int:
         if d > 2:  # one Weyl lift, shared by every sample
             lifts = _lift_operands(lift_ensemble(weyl, d).unitaries)
         for draws in _gaussian_blocks(rng, args.samples, 2 * dd * dd + (9 if d == 2 else 0)):
-            joints, spectra = _random_states(draws, dd)
-            cols, reduced_a, reduced_b = _stack_columns(joints, spectra, (d, d))
+            joints = _random_states(draws, dd)
+            cols, reduced_a, reduced_b = _stack_columns(joints, _validated_spectra(joints), (d, d))
 
             if d == 2:
                 frames = _frame_rows(draws[:, 2 * dd * dd :].reshape(-1, 3, 3))
@@ -541,6 +528,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache  # one parser per process, shared by every caller (main too), so never modify it
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="densecap",

@@ -328,14 +328,19 @@ def _reconstruct_arrays(gamma: np.ndarray, reduced_a: np.ndarray, reduced_b: np.
     return _kron(reduced_a, reduced_b) + corr.reshape(*gamma.shape[:-2], d_a * d_b, d_a * d_b)
 
 
-def pure_state(vec: np.ndarray) -> DensityMatrix:
-    """Projector |v><v| onto a (normalized) state vector."""
+def _projector(vec: np.ndarray) -> np.ndarray:
+    """|v><v| for the normalized vector v, unvalidated."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     n = np.linalg.norm(v)
     if n == 0.0:
         raise InvalidState("zero vector has no associated state")
     v = v / n
-    return DensityMatrix(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
+
+
+def pure_state(vec: np.ndarray) -> DensityMatrix:
+    """Projector |v><v| onto a (normalized) state vector."""
+    return DensityMatrix(_projector(vec))
 
 
 _BELL_VECTORS = {
@@ -344,6 +349,8 @@ _BELL_VECTORS = {
     "phi+": np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2),
     "phi-": np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2),
 }
+_PSI_PLUS = _projector(_BELL_VECTORS["psi+"])  # bell_state().joint.matrix, for the Werner family
+_PSI_PLUS.setflags(write=False)
 
 
 def bell_state(which: str = "psi+") -> BipartiteState:
@@ -364,9 +371,8 @@ def werner_matrices(ps: np.ndarray) -> np.ndarray:
     outside = ~((-1.0 / 3.0 <= ps) & (ps <= 1.0))
     if outside.any():
         raise InvalidState(f"werner parameter {float(ps[outside][0])} outside [-1/3, 1]")
-    bell = bell_state().joint.matrix
     p = ps[:, None, None]
-    return p * bell + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+    return p * _PSI_PLUS + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
 
 
 def werner_state(p: float) -> BipartiteState:

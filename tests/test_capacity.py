@@ -262,9 +262,14 @@ class TestOptimizePrior:
 
             monkeypatch.setattr(np.linalg, name, counted)
         report = optimize_prior(states)
-        # one eigh per evaluation of chi, plus the returned average state's eigvalsh
+        # one eigh per evaluation of chi; the average state is validated on first read only
         assert report.converged
+        assert len(calls) == report.iterations
+        avg = report.average_state
         assert len(calls) == report.iterations + 1
+        assert report.average_state is avg and len(calls) == report.iterations + 1
+        mats = np.stack([s.matrix for s in states])
+        assert np.array_equal(avg.matrix, np.einsum("a,aij->ij", report.optimal_prior, mats))
 
     def test_rank_deficient_average_state(self):
         # avg = diag(1/2, 1/2, 0) has a null space, so the support guard runs

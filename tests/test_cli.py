@@ -175,7 +175,8 @@ def reference_sweep(spec: str, fmt: str, tol: float = 1e-9) -> str:
     from densecap.cli import _json_text, _parse_sweep
     from densecap.qstate import _validated_spectra, werner_matrices
 
-    params = _parse_sweep(spec)
+    p0, step, n = _parse_sweep(spec)
+    params = p0 + step * np.arange(n)
     joints = werner_matrices(params)
     cols, _, _ = _stack_columns(joints, _validated_spectra(joints), (2, 2))
     worst = np.maximum(np.maximum(cols["residual_ab"], cols["residual_ba"]), cols["asymmetry_residual"])
@@ -294,7 +295,7 @@ def per_sample_averages(prior, lifts, joints):
 class TestAveragedStates:
     @staticmethod
     def states(rng, samples, dim):
-        return _random_states(rng.standard_normal((samples, 2 * dim * dim)), dim)[0]
+        return _random_states(rng.standard_normal((samples, 2 * dim * dim)), dim)
 
     @pytest.mark.parametrize("samples", [1, 7, 256])
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -603,7 +604,7 @@ class TestErrorPaths:
     def test_largest_sweep_accepted(self):
         from densecap.cli import MAX_SWEEP_POINTS, _parse_sweep
 
-        assert len(_parse_sweep("0:0.999999:0.000001")) == MAX_SWEEP_POINTS
+        assert _parse_sweep("0:0.999999:0.000001")[2] == MAX_SWEEP_POINTS
 
 
 class TestDeterminism:
@@ -624,7 +625,8 @@ class TestDeterminism:
 
         code, payload = run_json(capsys, ["capacity", "--state", "werner", f"--sweep={spec}"])
         assert code == 0
-        params = _parse_sweep(spec).tolist()
+        p0, step, n = _parse_sweep(spec)
+        params = [p0 + step * k for k in range(n)]
         assert len(payload["rows"]) == len(params) > 20
         for p, row in zip(params, payload["rows"]):
             _, single = run_json(capsys, ["capacity", "--state", f"werner:{p!r}"])
@@ -681,7 +683,8 @@ class TestSweepBlocks:
         from densecap.cli import SWEEP_BLOCK, _parse_sweep
 
         spec = "0:1.5:0.0005"
-        params = _parse_sweep(spec)
+        p0, step, n = _parse_sweep(spec)
+        params = p0 + step * np.arange(n)
         assert params[SWEEP_BLOCK - 1] <= 1.0  # the first block is in range
         path = tmp_path / "sweep.out"
         for out_flag in ([], ["--out", str(path)]):
@@ -708,6 +711,28 @@ class TestSweepBlocks:
         assert large <= 1.5 * small, (small, large)
 
 
+def test_sweep_holds_no_grid():
+    """The largest sweep's memory does not depend on its length: parsing it and
+    streaming its first blocks peak as a sweep of a tenth its length does (the
+    later blocks repeat the same work, which test_memory_flat_in_sweep_length
+    checks through the whole command)."""
+    import tracemalloc
+    from itertools import islice
+
+    from densecap.cli import _parse_sweep, _sweep_blocks
+
+    def peak(spec):
+        tracemalloc.start()
+        try:
+            list(islice(_sweep_blocks(*_parse_sweep(spec)), 2))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak("0:0.99999:0.00001"), peak("0:0.999999:0.000001")  # 100,000 and 1,000,000 points
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_csv_quotes_fields_with_separators(capsys, tmp_path):
     import csv
 
@@ -721,6 +746,16 @@ def test_csv_quotes_fields_with_separators(capsys, tmp_path):
     rows = list(csv.reader(out.splitlines()))
     assert [len(row) for row in rows] == [5, 5]
     assert rows[1][0] == str(path)
+
+
+def test_parser_built_once_and_keeps_no_state(capsys):
+    from densecap.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, out = run(capsys, ["capacity", "--state", "werner:0.5", "--format", "csv", "--cross-check"])
+    assert code == 0 and out.startswith("param,")
+    code, payload = run_json(capsys, ["capacity"])  # every default again, none left from the call before
+    assert code == 0 and payload["state"] == "bell" and "cross_check" not in payload
 
 
 def test_load_state_names():
@@ -750,7 +785,21 @@ class TestDecompositionCounts:
         calls = count_decompositions(monkeypatch)
         code, payload = run_json(capsys, ["capacity", "--state", "werner", "--sweep", "0:1:0.001"])
         assert code == 0 and len(payload["rows"]) == 1001
-        assert len(calls) <= 5
+        # one block: the joint states and their two reductions
+        assert len(calls) == 3
+
+    def test_werner_state_decomposes_once(self, monkeypatch):
+        calls = count_decompositions(monkeypatch)
+        werner_state(0.3)
+        assert len(calls) == 1
+
+    def test_verify_decomposes_only_what_it_reads(self, capsys, monkeypatch):
+        calls = count_decompositions(monkeypatch)
+        assert main(["verify", "--d", "3", "--samples", "600"]) == 0
+        capsys.readouterr()
+        # 3 blocks, each with the joint states, two reductions, averaged and rebuilt states;
+        # the twirled states are never decomposed
+        assert len(calls) == 15
 
     def test_cross_check_count_independent_of_signal_count(self, capsys, monkeypatch):
         calls = count_decompositions(monkeypatch)
@@ -760,8 +809,8 @@ class TestDecompositionCounts:
             code, payload = run_json(capsys, ["capacity", "--state", f"max-entangled:{d}", "--cross-check"])
             assert code == 0 and payload["cross_check"]["iterations"] == 1
             counts.append(len(calls))
-        # the state and its two reductions, the signal stack, the optimizer's one eigh and its report
-        assert counts == [6, 6, 6]
+        # the state and its two reductions, the signal stack and the optimizer's one eigh
+        assert counts == [5, 5, 5]
 
     def test_capacity_row_reuses_cached_spectra(self, monkeypatch):
         from densecap.capacity import _capacity_row

@@ -318,6 +318,14 @@ class TestNamedStates:
         with pytest.raises(InvalidState, match="werner parameter 1.5 outside"):
             werner_matrices(np.array([0.0, 1.5, -0.5]))
 
+    def test_werner_matrices_match_bell_state_mixture(self):
+        from densecap.qstate import werner_matrices
+
+        ps = np.concatenate([[-1 / 3, 0.0, 1.0], np.random.default_rng(5).uniform(-1 / 3, 1.0, 200)])
+        p = ps[:, None, None]
+        expected = p * bell_state().joint.matrix + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+        assert np.array_equal(werner_matrices(ps), expected)
+
     def test_max_entangled_marginals(self):
         for d in (2, 3, 4):
             s = max_entangled_state(d)

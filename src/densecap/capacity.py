@@ -368,7 +368,9 @@ def dense_capacity(s: BipartiteState, direction: str = "a2b") -> float:
     direction = direction.lower()
     if direction not in ("a2b", "b2a"):
         raise ValueError(f"direction must be 'a2b' or 'b2a', got {direction!r}")
-    return _capacity_row(s)["c_dense_ab" if direction == "a2b" else "c_dense_ba"]
+    # only the receiver's reduction; _capacity_columns' operation order, so its bits
+    d_send, kept = (s.dim_a, s.reduced_b) if direction == "a2b" else (s.dim_b, s.reduced_a)
+    return math.log2(d_send) + von_neumann_entropy(kept) - von_neumann_entropy(s.joint)
 
 
 def dense_capacity_via_ensemble(

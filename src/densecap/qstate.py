@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -311,21 +311,68 @@ def _bases(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
     return gellmann_basis(d_a).lambdas, gellmann_basis(d_b).lambdas
 
 
+def _ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's rank among the entries with its key, in entry order, and their number."""
+    hits = key[:, None] == np.arange(key.max() + 1)
+    return (np.cumsum(hits, axis=0) - 1)[hits], hits.sum(axis=0)[key]
+
+
+def _slots(key_a: np.ndarray, key_b: np.ndarray, *columns: np.ndarray) -> list[list[np.ndarray]]:
+    """Terms of the pairs (an entry of key_a, an entry of key_b), by slot.
+
+    The pairs that share both keys are the terms of one output cell, in pair
+    order; slot t holds term t of every cell that has one.  Each column gives
+    every pair's value, broadcast to shape (len(key_a), len(key_b)).  Returns,
+    per slot, each column's values there.
+    """
+    (rank_a, len_a), (rank_b, len_b) = _ranks(key_a), _ranks(key_b)
+    slot, *columns = np.broadcast_arrays(rank_a[:, None] * len_b + rank_b, *columns)
+    return [[column[slot == t] for column in columns] for t in range(slot.max() + 1)]
+
+
+@lru_cache(maxsize=16)
+def _term_tables(d_a: int, d_b: int) -> tuple[list, list]:
+    """_slots of gamma's contraction and of its reconstruction, for a (d_A, d_B) split.
+
+    Each term is a product (L_c)_ij (L_d)_kl of two nonzero basis entries.  Gamma's
+    slots hold the flat index of (c, d), the product and the flat index of
+    delta_(j,l),(i,k), in (i, j, k, l) order; the reconstruction's hold the flat
+    index of (i, k, j, l), that of gamma[c, d], (L_c)_ij and (L_d)_kl, in (c, d)
+    order.  These are einsum's loop orders, so the sparse sums keep its bits.
+    """
+    basis_a, basis_b = _bases(d_a, d_b)
+    c, i, j = (x[:, None] for x in np.nonzero(basis_a))
+    d, k, l = np.nonzero(basis_b)
+    l_c, l_d = basis_a[c, i, j], basis_b[d, k, l]
+    pair = c * len(basis_b) + d
+    gamma = _slots(c[:, 0], d, pair, l_c * l_d, ((j * d_b + l) * d_a + i) * d_b + k)
+    return gamma, _slots((i * d_a + j)[:, 0], k * d_b + l, ((i * d_b + k) * d_a + j) * d_b + l, pair, l_c, l_d)
+
+
 def _gamma_arrays(joint: np.ndarray, reduced_a: np.ndarray, reduced_b: np.ndarray) -> np.ndarray:
     """BipartiteState.gamma of a stack (..., D, D) of joint matrices and their reductions."""
     d_a, d_b = reduced_a.shape[-1], reduced_b.shape[-1]
-    basis_a, basis_b = _bases(d_a, d_b)
-    four = (joint - _kron(reduced_a, reduced_b)).reshape(*joint.shape[:-2], d_a, d_b, d_a, d_b)
+    n_a, n_b = d_a * d_a - 1, d_b * d_b - 1
+    delta = (joint - _kron(reduced_a, reduced_b)).reshape(-1, (d_a * d_b) ** 2).T  # one column per state
+    g = np.zeros((n_a * n_b, delta.shape[1]), dtype=complex)
     # Tr[(L_c x L_d) delta] = sum_{ijkl} (L_c)_{ij} (L_d)_{kl} delta_{(j,l),(i,k)}
-    g = np.einsum("cij,dkl,...jlik->...cd", basis_a, basis_b, four)
-    return np.real(g) / (d_a * d_b)
+    for cell, coef, index in _term_tables(d_a, d_b)[0]:
+        term = delta[index]
+        term *= coef[:, None]
+        g[cell] += term
+    return np.real(g).T.reshape(*joint.shape[:-2], n_a, n_b) / (d_a * d_b)
 
 
 def _reconstruct_arrays(gamma: np.ndarray, reduced_a: np.ndarray, reduced_b: np.ndarray) -> np.ndarray:
     """rho_A x rho_B + sum_cd gamma[c, d] L_c x L_d for stacks, unvalidated."""
-    d_a, d_b = reduced_a.shape[-1], reduced_b.shape[-1]
-    corr = np.einsum("...cd,cij,dkl->...ikjl", gamma, *_bases(d_a, d_b))
-    return _kron(reduced_a, reduced_b) + corr.reshape(*gamma.shape[:-2], d_a * d_b, d_a * d_b)
+    dim = reduced_a.shape[-1] * reduced_b.shape[-1]
+    flat = gamma.reshape(-1, gamma.shape[-2] * gamma.shape[-1]).T  # one column per state
+    corr = np.zeros((dim * dim, flat.shape[1]), dtype=complex)
+    for cell, index, l_c, l_d in _term_tables(reduced_a.shape[-1], reduced_b.shape[-1])[1]:
+        term = flat[index] * l_c[:, None]
+        term *= l_d[:, None]
+        corr[cell] += term
+    return _kron(reduced_a, reduced_b) + corr.T.reshape(*gamma.shape[:-2], dim, dim)
 
 
 def _projector(vec: np.ndarray) -> np.ndarray:
@@ -349,8 +396,14 @@ _BELL_VECTORS = {
     "phi+": np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2),
     "phi-": np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2),
 }
-_PSI_PLUS = _projector(_BELL_VECTORS["psi+"])  # bell_state().joint.matrix, for the Werner family
-_PSI_PLUS.setflags(write=False)
+
+
+@cache
+def _psi_plus() -> np.ndarray:
+    """bell_state().joint.matrix, read-only, for the Werner family; built on first use."""
+    m = _projector(_BELL_VECTORS["psi+"])
+    m.setflags(write=False)
+    return m
 
 
 def bell_state(which: str = "psi+") -> BipartiteState:
@@ -372,7 +425,7 @@ def werner_matrices(ps: np.ndarray) -> np.ndarray:
     if outside.any():
         raise InvalidState(f"werner parameter {float(ps[outside][0])} outside [-1/3, 1]")
     p = ps[:, None, None]
-    return p * _PSI_PLUS + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+    return p * _psi_plus() + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
 
 
 def werner_state(p: float) -> BipartiteState:

@@ -812,6 +812,17 @@ class TestDecompositionCounts:
         # the state and its two reductions, the signal stack and the optimizer's one eigh
         assert counts == [5, 5, 5]
 
+    @pytest.mark.parametrize("direction", ["a2b", "b2a"])
+    def test_dense_capacity_decomposes_one_reduction(self, monkeypatch, direction):
+        from densecap.capacity import _capacity_row
+        from densecap.sampling import random_bipartite_state
+
+        s = random_bipartite_state((3, 3), np.random.default_rng(12))
+        calls = count_decompositions(monkeypatch)
+        value = cap.dense_capacity(s, direction)
+        assert len(calls) == 1
+        assert value == _capacity_row(s)["c_dense_ab" if direction == "a2b" else "c_dense_ba"]
+
     def test_capacity_row_reuses_cached_spectra(self, monkeypatch):
         from densecap.capacity import _capacity_row
         from densecap.qstate import von_neumann_entropy
@@ -829,3 +840,15 @@ class TestDecompositionCounts:
         assert row["c_dense_ba"] == math.log2(3) + s_a - s_ab
         assert row["mutual_info"] == max(s_a + s_b - s_ab, 0.0)
         assert row["residual_ab"] < 1e-9 and row["asymmetry_residual"] < 1e-9
+
+
+def test_max_norm_matches_per_matrix_norms():
+    from densecap.cli import _max_norm
+
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(2, 82))
+        scale = 10.0 ** rng.uniform(-17, 0)
+        shape = (int(rng.integers(1, 30)), n, n)
+        diffs = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert _max_norm(diffs) == max(float(np.linalg.norm(m)) for m in diffs)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import densecap
 from densecap import (
     BipartiteState,
     BlochNormExceeded,
@@ -25,6 +29,15 @@ from densecap import (
     to_bloch,
     von_neumann_entropy,
     werner_state,
+)
+from densecap.encodings import gellmann_basis
+from densecap.qstate import (
+    _bases,
+    _gamma_arrays,
+    _kron,
+    _partial_trace_array,
+    _reconstruct_arrays,
+    _term_tables,
 )
 from densecap.sampling import (
     random_bipartite_state,
@@ -294,6 +307,66 @@ class TestCorrelationTensor:
             BipartiteState(random_density_matrix(4, np.random.default_rng(1)), dims)
 
 
+def einsum_gamma(joint, reduced_a, reduced_b):
+    """The unoptimized three-operand einsum that gamma replaced, the bitwise reference."""
+    d_a, d_b = reduced_a.shape[-1], reduced_b.shape[-1]
+    basis_a, basis_b = gellmann_basis(d_a).lambdas, gellmann_basis(d_b).lambdas
+    four = (joint - _kron(reduced_a, reduced_b)).reshape(*joint.shape[:-2], d_a, d_b, d_a, d_b)
+    return np.real(np.einsum("cij,dkl,...jlik->...cd", basis_a, basis_b, four)) / (d_a * d_b)
+
+
+def einsum_reconstruct(gamma, reduced_a, reduced_b):
+    """The unoptimized three-operand einsum that the reconstruction replaced."""
+    d_a, d_b = reduced_a.shape[-1], reduced_b.shape[-1]
+    basis_a, basis_b = gellmann_basis(d_a).lambdas, gellmann_basis(d_b).lambdas
+    corr = np.einsum("...cd,cij,dkl->...ikjl", gamma, basis_a, basis_b)
+    return _kron(reduced_a, reduced_b) + corr.reshape(*gamma.shape[:-2], d_a * d_b, d_a * d_b)
+
+
+def rank_r_states(rng, n: int, dim: int, rank: int) -> np.ndarray:
+    g = rng.standard_normal((n, dim, rank)) + 1j * rng.standard_normal((n, dim, rank))
+    m = g @ g.conj().transpose(0, 2, 1)
+    return m / np.trace(m, axis1=1, axis2=2)[:, None, None]
+
+
+class TestSparseCorrelationKernels:
+    @pytest.mark.parametrize("d_b", range(2, 7))
+    @pytest.mark.parametrize("d_a", range(2, 7))
+    def test_bitwise_equal_to_einsum(self, d_a, d_b):
+        rng = np.random.default_rng(100 * d_a + d_b)
+        dim = d_a * d_b
+        for rank in (1, 2, dim):
+            joints = rank_r_states(rng, 5, dim, rank)
+            reduced = [_partial_trace_array(joints, (d_a, d_b), side) for side in "AB"]
+            for k in (slice(None), 0):  # the stack and one unbatched state
+                j, r_a, r_b = joints[k], reduced[0][k], reduced[1][k]
+                gamma = _gamma_arrays(j, r_a, r_b)
+                assert np.array_equal(gamma, einsum_gamma(j, r_a, r_b))
+                assert np.array_equal(_reconstruct_arrays(gamma, r_a, r_b), einsum_reconstruct(gamma, r_a, r_b))
+            s = BipartiteState(DensityMatrix(joints[0]), (d_a, d_b))
+            gamma = einsum_gamma(s.joint.matrix, s.reduced_a.matrix, s.reduced_b.matrix)
+            assert np.array_equal(correlation_decompose(s), gamma)
+            rebuilt = einsum_reconstruct(gamma, s.reduced_a.matrix, s.reduced_b.matrix)
+            assert np.array_equal(correlation_reconstruct(s).matrix, rebuilt)
+
+    def test_tables_built_once_per_split(self, monkeypatch):
+        from densecap import qstate
+
+        built = []
+
+        def counted(d_a, d_b):
+            built.append((d_a, d_b))
+            return _bases(d_a, d_b)
+
+        monkeypatch.setattr(qstate, "_bases", counted)
+        _term_tables.cache_clear()
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            s = random_bipartite_state((3, 4), rng)
+            correlation_reconstruct(s)
+        assert built == [(3, 4)]
+
+
 class TestNamedStates:
     def test_bell_states_orthonormal(self):
         kets = [bell_state(k).joint.matrix for k in ("psi+", "psi-", "phi+", "phi-")]
@@ -334,6 +407,22 @@ class TestNamedStates:
     def test_pure_state_normalizes(self):
         s = pure_state(np.array([2.0, 0.0]))
         assert np.allclose(s.matrix, np.diag([1.0, 0.0]))
+
+
+def test_import_builds_no_state():
+    # a fresh process: importing the CLI makes no BLAS call such as np.linalg.norm
+    script = (
+        "import numpy.linalg\n"
+        "calls = []\n"
+        "norm = numpy.linalg.norm\n"
+        "numpy.linalg.norm = lambda *a, **k: calls.append(1) or norm(*a, **k)\n"
+        "import densecap.cli\n"
+        "print(len(calls))\n"
+    )
+    src = os.path.dirname(os.path.dirname(densecap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 class TestJson:

@@ -32,7 +32,7 @@ COMMANDS = {
     "werner_half": ["capacity", "--state", "werner:0.5"],
     "max_entangled_3": ["capacity", "--state", "max-entangled:3"],
     "cross_check_2x3": ["capacity", "--state", "state_2x3.json", "--dims", "2,3", "--cross-check"],
-    # 200,003 trials: three full 65,536-trial blocks and a partial one
+    # 200,003 trials: twelve full 16,384-trial blocks and a partial one
     "simulate_bell": ["simulate", "--decoder", "bell", "--trials", "200003", "--seed", "11"],
     "simulate_single_z": ["simulate", "--decoder", "single:z", "--trials", "200003", "--seed", "12"],
     "simulate_weyl3": [

@@ -290,13 +290,13 @@ class TestBlockedSampler:
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_partition_invariance(self, case, monkeypatch):
         tables = []
-        for block in (1, 7, 65_536):
+        for block in (1, 7, 16_384, 65_536):
             monkeypatch.setattr(protosim, "_BLOCK_TRIALS", block)
             tables.append(sampled_counts(case, 3_001, 17))
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
         assert tables[0].sum() == 3_001
 
-    @pytest.mark.parametrize("trials", [1, 65_535, 65_536, 65_537, 200_003])
+    @pytest.mark.parametrize("trials", [1, 16_383, 16_384, 16_385, 65_535, 65_536, 65_537, 200_003])
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_equals_monolithic_sampler(self, case, trials):
         assert np.array_equal(sampled_counts(case, trials, 23), reference_counts(case, trials, 23))
@@ -318,6 +318,17 @@ class TestBlockedSampler:
         peak_mb(1_000)  # first-call caches
         small, large = peak_mb(250_000), peak_mb(4_000_000)
         assert abs(large - small) < 1.0
+
+    def test_working_set_bounded(self):
+        # one block's words and index buffers: 0.92 MB traced, 2.54 MB with 65,536-trial blocks
+        run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), 1_000, 3)  # first-call caches
+        tracemalloc.start()
+        try:
+            run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), 4_000_000, 3)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5
 
 
 # cumulative thresholds: multiples of 1/256 lie on every bucket edge (b >= 8

@@ -7,13 +7,13 @@ analogue: a shared correlated bit pair with the message XORed onto the
 transmitted bit and optionally undone with the receiver's key bit.
 
 Randomness comes from the counter-based Philox generator keyed by the
-caller's seed; trial t reads the stream's 64-bit words 2t and 2t + 1 as
-the uniform variates (w >> 11) * 2**-53, so any partition of the trial
-range -- the fixed blocks drawn here, or parallel executions --
-reproduces the sequential count table exactly, and memory does not grow
-with trials.  The sampler is an exact guide-table inverse CDF (Chen &
-Asau 1974): the top bits of a word give its index unless a threshold
-splits their bucket.
+caller's seed; trial t reads the stream's 64-bit word t as the uniform
+variate (w >> 11) * 2**-53 and draws its (message, outcome) cell from
+the joint law in one step, so any partition of the trial range -- the
+fixed blocks drawn here, or parallel executions -- reproduces the
+sequential count table exactly, and memory does not grow with trials.
+The sampler is an exact guide-table inverse CDF (Chen & Asau 1974): the
+top bits of a word give its cell unless a threshold splits their bucket.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class SingleParticleDecoder:
     basis: str = "z"
 
 
-# trials per Philox draw, so memory per run is one block: 256 KB of words and
-# two 128 KB index buffers, under 1 MB and inside a 2 MB per-core L2
+# trials per Philox draw, so memory per run is one block: 128 KB of words and
+# two reused 128 KB index buffers, about 0.5 MB and inside a 2 MB per-core L2
 _BLOCK_TRIALS = 16_384
 
 
@@ -114,53 +114,31 @@ def _guide_table(cum: np.ndarray, b: int) -> np.ndarray:
     return np.where(lo == hi, lo, -1)
 
 
-def _count_at_or_below(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """#{t <= u} for u = (w >> 11) * 2**-53; thresholds sorted and shared, or a row per word."""
-    u = (words >> 11) * 2.0**-53
-    if thresholds.ndim == 1:
-        return np.searchsorted(thresholds, u, side="right")
-    return np.sum(u[:, None] >= thresholds, axis=1)
+def _sample_counts(cum: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Per-cell counts of `trials` inverse-CDF draws from one Philox stream.
 
-
-def _sample_counts(
-    cum0: np.ndarray, cum_rows: np.ndarray, cell_of: np.ndarray, trials: int, seed: int
-) -> np.ndarray:
-    """Per-cell counts of `trials` two-stage inverse-CDF draws from one Philox stream.
-
-    Trial t reads words 2t, 2t + 1 as u0, u1: row i = #{cum0[:-1] <= u0} of
-    cum_rows, cell cell_of[i, #{cum_rows[i, :-1] <= u1}].  Cumulative arrays
-    end in 1.0; trials in a bucket a threshold splits take the compare-count.
+    Trial t reads word t as u = (w >> 11) * 2**-53 and lands in cell
+    #{cum[:-1] <= u}; cum ends in 1.0.  Trials in a bucket a threshold
+    splits take a binary search.
     """
     # 2**b buckets, of which n - 1 thresholds split at most (n - 1) / 2**b <= 1/128,
-    # unless a level's table would pass 2**18 entries
-    n0, n1 = cum_rows.shape
-    b0 = max(1, min((128 * (n0 - 1)).bit_length(), 18))
-    b1 = max(1, min((128 * (n1 - 1)).bit_length(), 18 - (n0 - 1).bit_length()))
-    g0 = _guide_table(cum0, b0)
-    g0 = np.where(g0 < 0, -1, g0 << b1)  # row i as the high bits of i << b1 | h1
-    idx1 = np.stack([_guide_table(row, b1) for row in cum_rows])
-    i = np.arange(n0)[:, None]
-    tab1 = np.where(idx1 < 0, -1 - i, cell_of[i, idx1]).ravel()  # -1 - i: bucket h1 is split
-    split0, split1 = bool(np.any(g0 < 0)), bool(np.any(tab1 < 0))
-    counts = np.zeros(int(cell_of.max()) + 1, dtype=np.int64)
+    # unless the table would pass 2**18 entries
+    b = max(1, min((128 * (cum.size - 1)).bit_length(), 18))
+    g = _guide_table(cum, b)
+    split = bool(np.any(g < 0))
+    counts = np.zeros(cum.size, dtype=np.int64)
     bitgen = np.random.Philox(key=seed)
-    s0, s1, block = np.uint64(64 - b0), np.uint64(64 - b1), min(_BLOCK_TRIALS, trials)
-    h, keys = np.empty(block, dtype=np.uint64), np.empty(block, dtype=np.int64)  # reused per block
+    s, block = np.uint64(64 - b), min(_BLOCK_TRIALS, trials)
+    h, cells = np.empty(block, dtype=np.uint64), np.empty(block, dtype=np.int64)  # reused per block
     for start in range(0, trials, block):
         n = min(block, trials - start)
-        w = bitgen.random_raw(2 * n)
-        hn, idx = h[:n], keys[:n]
-        np.take(g0, np.right_shift(w[0::2], s0, out=hn).view(np.int64), out=idx)
-        if split0:
-            split = np.flatnonzero(idx < 0)
-            idx[split] = _count_at_or_below(cum0[:-1], w[2 * split]) << b1
-        idx |= np.right_shift(w[1::2], s1, out=hn).view(np.int64)
-        idx = np.take(tab1, idx)
-        if split1:
-            split = np.flatnonzero(idx < 0)
-            rows = -1 - idx[split]
-            idx[split] = cell_of[rows, _count_at_or_below(cum_rows[rows, :-1], w[2 * split + 1])]
-        counts += np.bincount(idx, minlength=counts.size)
+        w = bitgen.random_raw(n)
+        # top b bits index g, so "clip" never clips; it lets take write into out unbuffered
+        idx = np.take(g, np.right_shift(w, s, out=h[:n]).view(np.int64), out=cells[:n], mode="clip")
+        if split:
+            at = np.flatnonzero(idx < 0)
+            idx[at] = np.searchsorted(cum[:-1], (w[at] >> 11) * 2.0**-53, side="right")
+        counts += np.bincount(idx, minlength=cum.size)
     return counts
 
 
@@ -222,23 +200,18 @@ def run_quantum_dense(
 ) -> ProtocolTrace:
     """Simulate the quantum protocol and estimate the mutual information.
 
-    Each trial draws a message from the ensemble prior, applies the
-    message unitary to subsystem A, and samples the decoder's projective
-    outcome from the Born probabilities.
+    Each trial draws its (message, outcome) pair from the joint law
+    prior[a] * q[a, b]: the message unitary acts on subsystem A and the
+    decoder's projective outcome follows the Born probabilities.
     """
     if trials < 1:
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
     if e.dim != s.dim_a:
         raise DimensionMismatch(f"ensemble dim {e.dim} does not act on sender dim {s.dim_a}")
     q = _outcome_distributions(s, e, decoder)
-    n_msg, n_out = q.shape
-
-    cum_prior = np.cumsum(e.prior)
-    cum_prior[-1] = 1.0
-    cum_rows = np.cumsum(q, axis=1)
-    cum_rows[:, -1] = 1.0
-    cells = np.arange(n_msg * n_out).reshape(n_msg, n_out)
-    counts = _sample_counts(cum_prior, cum_rows, cells, trials, seed).reshape(n_msg, n_out)
+    cum = np.cumsum(e.prior[:, None] * q)  # message-major cells a * n_out + b
+    cum[-1] = 1.0
+    counts = _sample_counts(cum, trials, seed).reshape(q.shape)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)
 
 
@@ -247,19 +220,19 @@ def run_classical_dense(
 ) -> ProtocolTrace:
     """Simulate the classical keyed-bit protocol.
 
-    Per trial: sample the shared pair (j_A, j_B), draw a uniform message
-    bit k, transmit j_A xor k; the receiver outputs the received bit
-    xored with their key bit j_B when use_key, else the raw received bit.
-    The message bit is 1 when the trial's second uniform variate is at
-    least one half.
+    Per trial: sample the shared pair (j_A, j_B) together with a uniform
+    message bit k, transmit j_A xor k; the receiver outputs the received
+    bit xored with their key bit j_B when use_key, else the raw received
+    bit.
     """
     if trials < 1:
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
-    cum = np.cumsum(s.probabilities.reshape(-1))
+    # cells (j, k), j = 2 j_A + j_B, each of probability p_j / 2
+    cum = np.cumsum(np.repeat(s.probabilities.reshape(-1) / 2, 2))
     cum[-1] = 1.0
-    # rows are the joint values j = 2 j_A + j_B, columns the message bit k
     j, k = np.arange(4)[:, None], np.arange(2)
     decoded = (j >> 1) ^ k ^ (j & 1) if use_key else (j >> 1) ^ k
-    counts = _sample_counts(cum, np.tile([0.5, 1.0], (4, 1)), 2 * k + decoded, trials, seed)
-    counts = counts.reshape(2, 2)
+    per_cell = _sample_counts(cum, trials, seed).reshape(4, 2)
+    counts = np.zeros((2, 2), dtype=np.int64)  # (k, decoded)
+    np.add.at(counts, (np.broadcast_to(k, decoded.shape), decoded), per_cell)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)

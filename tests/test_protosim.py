@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,25 +236,20 @@ def test_single_particle_reduction_matches_partial_trace():
 
 
 def monolithic_quantum_counts(s, e, decoder, trials, seed):
-    """Unblocked reference sampler: one (trials x 2) draw and a per-trial row gather."""
+    """Reference counts over the message-major joint CDF of prior[a] * q[a, b]."""
     q = protosim._outcome_distributions(s, e, decoder)
-    n_msg, n_out = q.shape
-    cum_prior = np.cumsum(e.prior)
-    cum_prior[-1] = 1.0
-    cum_rows = np.cumsum(q, axis=1)
-    cum_rows[:, -1] = 1.0
-    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
-    messages = np.minimum(np.searchsorted(cum_prior, u[:, 0], side="right"), n_msg - 1)
-    outcomes = np.minimum(np.sum(u[:, 1, None] >= cum_rows[messages], axis=1), n_out - 1)
-    return np.bincount(messages * n_out + outcomes, minlength=n_msg * n_out).reshape(n_msg, n_out)
+    cum = np.cumsum(e.prior[:, None] * q)
+    cum[-1] = 1.0
+    return monolithic_kernel_counts(cum, trials, seed).reshape(q.shape)
 
 
 def monolithic_classical_counts(s, use_key, trials, seed):
-    cum = np.cumsum(s.probabilities.reshape(-1))
+    """Reference counts over the cells (j, k) of probability p_j / 2, folded per trial."""
+    cum = np.cumsum(np.repeat(s.probabilities.reshape(-1) / 2, 2))
     cum[-1] = 1.0
-    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
-    joint = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 3)
-    k = (u[:, 1] >= 0.5).astype(np.int64)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(trials)
+    cell = np.searchsorted(cum[:-1], u, side="right")
+    joint, k = cell >> 1, cell & 1
     received = (joint >> 1) ^ k
     decoded = received ^ (joint & 1) if use_key else received
     return np.bincount(k * 2 + decoded, minlength=4).reshape(2, 2)
@@ -262,7 +259,7 @@ QUANTUM_CASES = {
     "bell": (bell_state(), CANONICAL, BellDecoder()),
     "single-x": (werner_state(0.6), CANONICAL, SingleParticleDecoder("x")),
     "weyl3-skewed": (max_entangled_state(3), WEYL3_SKEWED, SingleParticleDecoder("z")),
-    # 100 messages with thresholds k/100 and 10 outcomes with thresholds k/10: both levels fall back
+    # 1,000 joint cells with thresholds k/1,000: most buckets are whole, the rest fall back
     "weyl10": (max_entangled_state(10), weyl_set(10), SingleParticleDecoder("z")),
 }
 CLASSICAL_CASES = {
@@ -320,7 +317,8 @@ class TestBlockedSampler:
         assert abs(large - small) < 1.0
 
     def test_working_set_bounded(self):
-        # one block's words and index buffers: 0.92 MB traced, 2.54 MB with 65,536-trial blocks
+        # one block's words and index buffers: 0.52 MB traced; 0.92 MB with two words
+        # per trial, 2.54 MB with two words per trial and 65,536-trial blocks
         run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), 1_000, 3)  # first-call caches
         tracemalloc.start()
         try:
@@ -329,6 +327,30 @@ class TestBlockedSampler:
         finally:
             tracemalloc.stop()
         assert peak < 1.5
+
+
+def assert_within_six_sigma(counts, law):
+    mean = counts.sum() * law
+    assert np.all(counts[law == 0] == 0)
+    sd = np.sqrt(mean * (1 - law))
+    assert np.all(np.abs(counts - mean)[law > 0] <= 6 * sd[law > 0])
+
+
+class TestSampledLaw:
+    """Counts at 10^6 trials against each protocol's law, computed here rather than from the sampler's CDF."""
+
+    def test_weyl3_skewed_single_particle(self):
+        s, e, decoder = QUANTUM_CASES["weyl3-skewed"]
+        born = np.array([np.real(np.diag(u @ s.reduced_a.matrix @ u.conj().T)) for u in e.unitaries])
+        counts = run_quantum_dense(s, e, decoder, 10**6, 31).joint_counts
+        assert_within_six_sigma(counts, e.prior[:, None] * born)
+
+    def test_classical_no_key_skewed(self):
+        law = np.zeros((2, 2))
+        for j_a, j_b, k in itertools.product((0, 1), repeat=3):
+            law[k, j_a ^ k] += SKEWED_JOINT.probabilities[j_a, j_b] / 2
+        counts = run_classical_dense(SKEWED_JOINT, False, 10**6, 32).joint_counts
+        assert_within_six_sigma(counts, law)
 
 
 # cumulative thresholds: multiples of 1/256 lie on every bucket edge (b >= 8
@@ -344,64 +366,62 @@ THRESHOLDS = st.one_of(
 )
 
 
-def cumulative(n: int):
-    return st.lists(THRESHOLDS, min_size=n - 1, max_size=n - 1).map(lambda t: np.append(np.sort(t), 1.0))
-
-
-def monolithic_kernel_counts(cum0, cum_rows, cell_of, trials, seed):
-    """Unblocked two-stage inverse CDF of the same stream, as in monolithic_quantum_counts."""
-    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
-    rows = np.minimum(np.searchsorted(cum0, u[:, 0], side="right"), cum0.size - 1)
-    cols = np.minimum(np.sum(u[:, 1, None] >= cum_rows[rows], axis=1), cum_rows.shape[1] - 1)
-    return np.bincount(cell_of[rows, cols], minlength=cell_of.max() + 1)
+def monolithic_kernel_counts(cum, trials, seed):
+    """Unblocked reference sampler: one variate per trial, cell #{cum[:-1] <= u}."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random(trials)
+    return np.bincount(np.searchsorted(cum[:-1], u, side="right"), minlength=cum.size)
 
 
 class TestGuideTableSampler:
-    def test_fallback_counts_ties_like_searchsorted(self):
+    def test_fallback_counts_ties_like_searchsorted(self, monkeypatch):
         rng = np.random.default_rng(8)
-        thresholds = np.sort(rng.random(9))
-        # words whose variate (w >> 11) * 2**-53 equals a threshold, and random ones
-        on = (thresholds * 2.0**53).astype(np.uint64) << np.uint64(11)
-        words = np.concatenate([on, on + np.uint64(2**11 - 1), rng.integers(0, 2**64, 50, dtype=np.uint64)])
-        u = (words >> np.uint64(11)) * 2.0**-53
-        want = np.searchsorted(thresholds, u, side="right")
-        assert np.all(want[: thresholds.size] == np.arange(1, thresholds.size + 1))
-        per_word = np.broadcast_to(thresholds, (words.size, thresholds.size))
-        assert np.array_equal(protosim._count_at_or_below(thresholds, words), want)
-        assert np.array_equal(protosim._count_at_or_below(per_word, words), want)
+        cum = np.append(np.sort(rng.random(9)), 1.0)
+        # words whose variate (w >> 11) * 2**-53 equals a threshold, the top word of
+        # that variate, the variate one step below it, and random words
+        on = (cum[:-1] * 2.0**53).astype(np.uint64) << np.uint64(11)
+        words = np.concatenate(
+            [on, on + np.uint64(2**11 - 1), on - np.uint64(2**11), rng.integers(0, 2**64, 50, dtype=np.uint64)]
+        )
+        want = np.searchsorted(cum[:-1], (words >> np.uint64(11)) * 2.0**-53, side="right")
+        assert np.all(want[:9] == np.arange(1, 10))
+        # 10 cells give 2**11 buckets; each threshold splits its bucket, so these words fall back
+        assert np.all(protosim._guide_table(cum, 11)[on >> np.uint64(53)] < 0)
+
+        def sampled(chunk):  # the kernel on a stream that hands out `chunk`
+            monkeypatch.setattr(np.random, "Philox", lambda key: SimpleNamespace(random_raw=lambda n: chunk[:n].copy()))
+            return protosim._sample_counts(cum, chunk.size, 0)
+
+        assert all(sampled(words[i : i + 1])[cell] == 1 for i, cell in enumerate(want))
+        assert np.array_equal(sampled(words), np.bincount(want, minlength=cum.size))
 
     def test_large_alphabet_within_table_budget(self):
-        # 5,000 rows: both levels' tables stop at 2**18 entries, and more trials fall back
+        # 15,000 cells: the table stops at 2**18 entries, and up to 6% of trials fall back
         rng = np.random.default_rng(5)
-        cum0 = np.append(np.sort(rng.random(4_999)), 1.0)
-        cum_rows = np.column_stack([np.sort(rng.random((5_000, 2)), axis=1), np.ones(5_000)])
-        cell_of = np.arange(15_000).reshape(5_000, 3)
+        cum = np.append(np.sort(rng.random(14_999)), 1.0)
         tracemalloc.start()
         try:
-            got = protosim._sample_counts(cum0, cum_rows, cell_of, 70_000, 9)
+            got = protosim._sample_counts(cum, 70_000, 9)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert np.array_equal(got, monolithic_kernel_counts(cum0, cum_rows, cell_of, 70_000, 9))
+        assert np.array_equal(got, monolithic_kernel_counts(cum, 70_000, 9))
         assert peak_mb < 16.0
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
-        n0=st.integers(1, 100),
-        n1=st.integers(1, 12),
+        n=st.integers(1, 1_200),
         seed=st.integers(0, 2**128 - 1),
         trials=st.integers(1, 20_000),
         data=st.data(),
     )
-    def test_tables_equal_monolithic(self, n0, n1, seed, trials, data):
-        cum0 = data.draw(cumulative(n0), label="cum0")
-        # rows from a small pool, so that many messages share one outcome row
-        pool = data.draw(st.lists(cumulative(n1), min_size=1, max_size=4), label="rows")
-        pick = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n0, max_size=n0), label="pick")
-        cum_rows = np.stack([pool[i] for i in pick])
-        cell_of = np.arange(n0 * n1).reshape(n0, n1)
-        got = protosim._sample_counts(cum0, cum_rows, cell_of, trials, seed)
-        assert np.array_equal(got, monolithic_kernel_counts(cum0, cum_rows, cell_of, trials, seed))
+    def test_tables_equal_monolithic(self, n, seed, trials, data):
+        # up to 40 thresholds drawn here and the rest uniform from the seed: drawing all
+        # of a table near the 2**18 cap (n > 1,025) here took up to 0.25 s per example
+        k = min(n - 1, 40)
+        drawn = data.draw(st.lists(THRESHOLDS, min_size=k, max_size=k), label="thresholds")
+        bulk = np.random.default_rng(seed).random(n - 1 - k)
+        cum = np.append(np.sort(np.concatenate([drawn, bulk])), 1.0)
+        assert np.array_equal(protosim._sample_counts(cum, trials, seed), monolithic_kernel_counts(cum, trials, seed))
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(

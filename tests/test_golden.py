@@ -3,9 +3,10 @@
 Each file under tests/data/golden/<name>.out holds the exact stdout of
 `densecap <argv>` run from that directory.  The files were written by
 the release before the batched Werner sweep, the `simulate_*` files by
-the release before the guide-table sampler, `verify_d4` by the release
-before the one-pass JSON emitter, and `entanglement_werner_085` by the
-release that gave the convex roof its Barzilai-Borwein steps, so a change
+the release that draws each trial from one Philox word, `verify_d4` by
+the release before the one-pass JSON emitter, and
+`entanglement_werner_085` by the release that gave the convex roof its
+Barzilai-Borwein steps, so a change
 to the numerics or the formatting of these commands shows here as a byte
 diff.
 Regenerate a file only for a deliberate output change, and say so in

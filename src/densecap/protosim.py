@@ -234,5 +234,5 @@ def run_classical_dense(
     decoded = (j >> 1) ^ k ^ (j & 1) if use_key else (j >> 1) ^ k
     per_cell = _sample_counts(cum, trials, seed).reshape(4, 2)
     counts = np.zeros((2, 2), dtype=np.int64)  # (k, decoded)
-    np.add.at(counts, (np.broadcast_to(k, decoded.shape), decoded), per_cell)
+    np.add.at(counts, (k, decoded), per_cell)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)

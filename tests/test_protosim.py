@@ -415,9 +415,9 @@ class TestGuideTableSampler:
         data=st.data(),
     )
     def test_tables_equal_monolithic(self, n, seed, trials, data):
-        # up to 40 thresholds drawn here and the rest uniform from the seed: drawing all
+        # up to 150 thresholds drawn here and the rest uniform from the seed: drawing all
         # of a table near the 2**18 cap (n > 1,025) here took up to 0.25 s per example
-        k = min(n - 1, 40)
+        k = min(n - 1, 150)
         drawn = data.draw(st.lists(THRESHOLDS, min_size=k, max_size=k), label="thresholds")
         bulk = np.random.default_rng(seed).random(n - 1 - k)
         cum = np.append(np.sort(np.concatenate([drawn, bulk])), 1.0)

@@ -6,14 +6,11 @@ projective measurement on the transmitted particle alone.  Classical
 analogue: a shared correlated bit pair with the message XORed onto the
 transmitted bit and optionally undone with the receiver's key bit.
 
-Randomness comes from the counter-based Philox generator keyed by the
-caller's seed; trial t reads the stream's 64-bit word t as the uniform
-variate (w >> 11) * 2**-53 and draws its (message, outcome) cell from
-the joint law in one step, so any partition of the trial range -- the
-fixed blocks drawn here, or parallel executions -- reproduces the
-sequential count table exactly, and memory does not grow with trials.
-The sampler is an exact guide-table inverse CDF (Chen & Asau 1974): the
-top bits of a word give its cell unless a threshold splits their bucket.
+The (message, outcome) count table of `trials` independent trials is
+exactly Multinomial(trials, p) over the joint law p, so it is drawn as
+one multinomial from a legacy `RandomState` over the Philox generator
+keyed by the caller's seed: time and memory do not depend on `trials`,
+and a cell of probability 0 never enters the draw.
 """
 
 from __future__ import annotations
@@ -101,44 +98,16 @@ class SingleParticleDecoder:
     basis: str = "z"
 
 
-# trials per Philox draw, so memory per run is one block: 128 KB of words and
-# two reused 128 KB index buffers, about 0.5 MB and inside a 2 MB per-core L2
-_BLOCK_TRIALS = 16_384
+def _sample_counts(p: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Counts of `trials` i.i.d. draws from the cell law p, as one Multinomial(trials, p) draw.
 
-
-def _guide_table(cum: np.ndarray, b: int) -> np.ndarray:
-    """Index #{t in cum[:-1] : t <= u} shared by all u in [h/2^b, (h+1)/2^b) (lo = hi), else -1."""
-    edges = np.arange((1 << b) + 1) * 2.0**-b
-    lo = np.searchsorted(cum[:-1], edges[:-1], side="right")
-    hi = np.searchsorted(cum[:-1], edges[1:], side="left")
-    return np.where(lo == hi, lo, -1)
-
-
-def _sample_counts(cum: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """Per-cell counts of `trials` inverse-CDF draws from one Philox stream.
-
-    Trial t reads word t as u = (w >> 11) * 2**-53 and lands in cell
-    #{cum[:-1] <= u}; cum ends in 1.0.  Trials in a bucket a threshold
-    splits take a binary search.
+    NEP 19 freezes RandomState's streams, so a seed gives the same counts
+    on every numpy release; only the nonzero cells enter the draw.
     """
-    # 2**b buckets, of which n - 1 thresholds split at most (n - 1) / 2**b <= 1/128,
-    # unless the table would pass 2**18 entries
-    b = max(1, min((128 * (cum.size - 1)).bit_length(), 18))
-    g = _guide_table(cum, b)
-    split = bool(np.any(g < 0))
-    counts = np.zeros(cum.size, dtype=np.int64)
-    bitgen = np.random.Philox(key=seed)
-    s, block = np.uint64(64 - b), min(_BLOCK_TRIALS, trials)
-    h, cells = np.empty(block, dtype=np.uint64), np.empty(block, dtype=np.int64)  # reused per block
-    for start in range(0, trials, block):
-        n = min(block, trials - start)
-        w = bitgen.random_raw(n)
-        # top b bits index g, so "clip" never clips; it lets take write into out unbuffered
-        idx = np.take(g, np.right_shift(w, s, out=h[:n]).view(np.int64), out=cells[:n], mode="clip")
-        if split:
-            at = np.flatnonzero(idx < 0)
-            idx[at] = np.searchsorted(cum[:-1], (w[at] >> 11) * 2.0**-53, side="right")
-        counts += np.bincount(idx, minlength=cum.size)
+    nz = np.flatnonzero(p > 0)
+    counts = np.zeros(p.size, dtype=np.int64)
+    rs = np.random.RandomState(np.random.Philox(key=seed))
+    counts[nz] = rs.multinomial(trials, p[nz] / p[nz].sum())
     return counts
 
 
@@ -200,18 +169,18 @@ def run_quantum_dense(
 ) -> ProtocolTrace:
     """Simulate the quantum protocol and estimate the mutual information.
 
-    Each trial draws its (message, outcome) pair from the joint law
-    prior[a] * q[a, b]: the message unitary acts on subsystem A and the
-    decoder's projective outcome follows the Born probabilities.
+    The count table is one multinomial draw over the joint law
+    prior[a] * q[a, b] of (message, outcome) pairs: the message unitary
+    acts on subsystem A and the decoder's projective outcome follows the
+    Born probabilities.
     """
     if trials < 1:
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
     if e.dim != s.dim_a:
         raise DimensionMismatch(f"ensemble dim {e.dim} does not act on sender dim {s.dim_a}")
     q = _outcome_distributions(s, e, decoder)
-    cum = np.cumsum(e.prior[:, None] * q)  # message-major cells a * n_out + b
-    cum[-1] = 1.0
-    counts = _sample_counts(cum, trials, seed).reshape(q.shape)
+    p = (e.prior[:, None] * q).ravel()  # message-major cells a * n_out + b
+    counts = _sample_counts(p, trials, seed).reshape(q.shape)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)
 
 
@@ -220,19 +189,19 @@ def run_classical_dense(
 ) -> ProtocolTrace:
     """Simulate the classical keyed-bit protocol.
 
-    Per trial: sample the shared pair (j_A, j_B) together with a uniform
-    message bit k, transmit j_A xor k; the receiver outputs the received
-    bit xored with their key bit j_B when use_key, else the raw received
-    bit.
+    A trial samples the shared pair (j_A, j_B) together with a uniform
+    message bit k and transmits j_A xor k; the receiver outputs the
+    received bit xored with their key bit j_B when use_key, else the raw
+    received bit.  The counts of the (j, k) cells are one multinomial
+    draw, folded into the (message, decoded) table.
     """
     if trials < 1:
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
     # cells (j, k), j = 2 j_A + j_B, each of probability p_j / 2
-    cum = np.cumsum(np.repeat(s.probabilities.reshape(-1) / 2, 2))
-    cum[-1] = 1.0
+    p = np.repeat(s.probabilities.reshape(-1) / 2, 2)
     j, k = np.arange(4)[:, None], np.arange(2)
     decoded = (j >> 1) ^ k ^ (j & 1) if use_key else (j >> 1) ^ k
-    per_cell = _sample_counts(cum, trials, seed).reshape(4, 2)
+    per_cell = _sample_counts(p, trials, seed).reshape(4, 2)
     counts = np.zeros((2, 2), dtype=np.int64)  # (k, decoded)
     np.add.at(counts, (k, decoded), per_cell)
     return ProtocolTrace(trials, counts, empirical_mutual_information(counts), seed)

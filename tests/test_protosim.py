@@ -1,7 +1,8 @@
 import itertools
 import math
+import time
 import tracemalloc
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from densecap import (
     weyl_set,
     werner_state,
 )
+from densecap.cli import MAX_TRIALS
 from densecap.encodings import EncodingEnsemble
-from densecap.qstate import DensityMatrix
+from densecap.qstate import _BELL_VECTORS, DensityMatrix, _partial_trace_array
 from densecap.sampling import random_bipartite_state
 
 
@@ -235,73 +237,126 @@ def test_single_particle_reduction_matches_partial_trace():
     assert np.allclose(reduced.matrix, expected, atol=1e-12)
 
 
-def monolithic_quantum_counts(s, e, decoder, trials, seed):
-    """Reference counts over the message-major joint CDF of prior[a] * q[a, b]."""
-    q = protosim._outcome_distributions(s, e, decoder)
-    cum = np.cumsum(e.prior[:, None] * q)
-    cum[-1] = 1.0
-    return monolithic_kernel_counts(cum, trials, seed).reshape(q.shape)
+SINGLE_BASES = {"x": np.array([[1, 1], [1, -1]]) / math.sqrt(2)}
 
 
-def monolithic_classical_counts(s, use_key, trials, seed):
-    """Reference counts over the cells (j, k) of probability p_j / 2, folded per trial."""
-    cum = np.cumsum(np.repeat(s.probabilities.reshape(-1) / 2, 2))
-    cum[-1] = 1.0
-    u = np.random.Generator(np.random.Philox(key=seed)).random(trials)
-    cell = np.searchsorted(cum[:-1], u, side="right")
-    joint, k = cell >> 1, cell & 1
-    received = (joint >> 1) ^ k
-    decoded = received ^ (joint & 1) if use_key else received
-    return np.bincount(k * 2 + decoded, minlength=4).reshape(2, 2)
+def quantum_law(s, e, decoder):
+    """Message-major law prior[a] * q[a, b] from the Born rule, computed here rather than by protosim."""
+    if isinstance(decoder, BellDecoder):
+        basis = [_BELL_VECTORS[k] for k in ("psi+", "phi+", "phi-", "psi-")]
+        signals = [np.kron(u, np.eye(2)) @ s.joint.matrix @ np.kron(u, np.eye(2)).conj().T for u in e.unitaries]
+    else:
+        basis = SINGLE_BASES.get(decoder.basis, np.eye(s.dim_a))
+        reduced = _partial_trace_array(s.joint.matrix, s.dims, "A")
+        signals = [u @ reduced @ u.conj().T for u in e.unitaries]
+    q = np.clip([[np.real(np.conj(v) @ sig @ v) for v in basis] for sig in signals], 0.0, None)
+    return (e.prior[:, None] * q / q.sum(axis=1, keepdims=True)).ravel()
+
+
+def classical_law(joint):
+    """Law of the cells (j_A, j_B, k): the shared bits and a uniform message bit."""
+    return np.array([joint.probabilities[j_a, j_b] / 2 for j_a, j_b, _ in itertools.product((0, 1), repeat=3)])
+
+
+def fold_classical(cells, use_key):
+    """(message, decoded) table of per-cell values, one cell at a time."""
+    table = np.zeros((2, 2), dtype=cells.dtype)
+    for (j_a, j_b, k), c in zip(itertools.product((0, 1), repeat=3), cells):
+        table[k, j_a ^ k ^ (j_b if use_key else 0)] += c
+    return table
+
+
+def reference_draw(p, trials, seed):
+    """One multinomial draw over the nonzero cells of p."""
+    nz = p > 0
+    cells = np.zeros(p.size, dtype=np.int64)
+    cells[nz] = np.random.RandomState(np.random.Philox(key=seed)).multinomial(trials, p[nz] / p[nz].sum())
+    return cells
 
 
 QUANTUM_CASES = {
     "bell": (bell_state(), CANONICAL, BellDecoder()),
     "single-x": (werner_state(0.6), CANONICAL, SingleParticleDecoder("x")),
     "weyl3-skewed": (max_entangled_state(3), WEYL3_SKEWED, SingleParticleDecoder("z")),
-    # 1,000 joint cells with thresholds k/1,000: most buckets are whole, the rest fall back
     "weyl10": (max_entangled_state(10), weyl_set(10), SingleParticleDecoder("z")),
 }
 CLASSICAL_CASES = {
     "keyed": (ClassicalJointState.maximally_correlated(), True),
     "no-key-skewed": (SKEWED_JOINT, False),
 }
-
-
-def sampled_counts(case, trials, seed):
-    if case in QUANTUM_CASES:
-        return run_quantum_dense(*QUANTUM_CASES[case], trials, seed).joint_counts
-    return run_classical_dense(*CLASSICAL_CASES[case], trials, seed).joint_counts
-
-
-def reference_counts(case, trials, seed):
-    if case in QUANTUM_CASES:
-        return monolithic_quantum_counts(*QUANTUM_CASES[case], trials, seed)
-    return monolithic_classical_counts(*CLASSICAL_CASES[case], trials, seed)
-
-
 ALL_CASES = [*QUANTUM_CASES, *CLASSICAL_CASES]
 
 
-class TestBlockedSampler:
-    @pytest.mark.parametrize("case", ALL_CASES)
-    def test_partition_invariance(self, case, monkeypatch):
-        tables = []
-        for block in (1, 7, 16_384, 65_536):
-            monkeypatch.setattr(protosim, "_BLOCK_TRIALS", block)
-            tables.append(sampled_counts(case, 3_001, 17))
-        assert all(np.array_equal(tables[0], t) for t in tables[1:])
-        assert tables[0].sum() == 3_001
+def case_run(case):
+    """A case's runner and its arguments up to trials and seed."""
+    if case in QUANTUM_CASES:
+        return run_quantum_dense, QUANTUM_CASES[case]
+    return run_classical_dense, CLASSICAL_CASES[case]
 
+
+def sampled_counts(case, trials, seed):
+    run, args = case_run(case)
+    return run(*args, trials, seed).joint_counts
+
+
+def reference_cells(case):
+    """The law of a case's sampled cells."""
+    if case in QUANTUM_CASES:
+        return quantum_law(*QUANTUM_CASES[case])
+    return classical_law(CLASSICAL_CASES[case][0])
+
+
+def reference_table(case, cells):
+    """Per-cell values arranged as the case's (message, outcome) table."""
+    if case in QUANTUM_CASES:
+        return cells.reshape(QUANTUM_CASES[case][1].prior.size, -1)
+    return fold_classical(cells, CLASSICAL_CASES[case][1])
+
+
+def reference_law(case):
+    return reference_table(case, reference_cells(case))
+
+
+def drawn(run, *args):
+    """A runner's count table and the cell law it handed to the draw."""
+    with mock.patch.object(protosim, "_sample_counts", wraps=protosim._sample_counts) as draw:
+        counts = run(*args).joint_counts
+    return counts, draw.call_args.args[0]
+
+
+class TestBlockedSampler:
+    """Cell order, zero cells and memory of the count-table draw (named for the blocked sampler it replaced)."""
+
+    # trial counts from 1 to 200,003; the draw's cost does not depend on them
     @pytest.mark.parametrize("trials", [1, 16_383, 16_384, 16_385, 65_535, 65_536, 65_537, 200_003])
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_equals_monolithic_sampler(self, case, trials):
-        assert np.array_equal(sampled_counts(case, trials, 23), reference_counts(case, trials, 23))
+        # the runner's cells are the reference cells in the same order; the reference draw then
+        # reads the runner's bits, since one ulp in a probability can move a count by one
+        run, args = case_run(case)
+        counts, p = drawn(run, *args, trials, 23)
+        assert np.allclose(p, reference_cells(case), rtol=0, atol=1e-15)
+        assert np.array_equal(counts, reference_table(case, reference_draw(p, trials, 23)))
 
     def test_zero_prior_message_never_sampled(self):
         counts = sampled_counts("weyl3-skewed", 50_000, 4)
         assert counts[2].sum() == 0
         assert np.all(counts.sum(axis=1)[np.array(WEYL3_SKEWED.prior) > 0] > 0)
+
+    def test_zero_cells_stay_zero_at_max_trials(self):
+        # ten cells of 0.1 sum to 1 - 2**-53: an inverse CDF forced to end in 1.0 drew the zero cell
+        counts = protosim._sample_counts(np.array([0.1] * 10 + [0.0]), MAX_TRIALS, 6)
+        assert counts[-1] == 0
+        assert counts.sum() == MAX_TRIALS
+        trace = run_quantum_dense(*QUANTUM_CASES["weyl3-skewed"], MAX_TRIALS, 6)
+        assert trace.joint_counts[2].sum() == 0
+        assert trace.joint_counts.sum() == MAX_TRIALS
+
+    def test_max_trials_under_a_second(self):
+        start = time.perf_counter()
+        trace = run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), MAX_TRIALS, 7)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(trace.joint_counts, np.diag(np.diag(trace.joint_counts)))
 
     def test_memory_flat_in_trial_count(self):
         def peak_mb(trials):
@@ -317,8 +372,7 @@ class TestBlockedSampler:
         assert abs(large - small) < 1.0
 
     def test_working_set_bounded(self):
-        # one block's words and index buffers: 0.52 MB traced; 0.92 MB with two words
-        # per trial, 2.54 MB with two words per trial and 65,536-trial blocks
+        # the draw holds only per-cell arrays; the blocked samplers traced 0.52 to 2.54 MB here
         run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), 1_000, 3)  # first-call caches
         tracemalloc.start()
         try:
@@ -352,107 +406,26 @@ class TestSampledLaw:
         counts = run_classical_dense(SKEWED_JOINT, False, 10**6, 32).joint_counts
         assert_within_six_sigma(counts, law)
 
+    @pytest.mark.parametrize("case", ["weyl3-skewed", "no-key-skewed"])
+    def test_single_trial_over_seeds(self, case):
+        # one trial per seed: the first draw of each seed's stream follows the law
+        counts = sum(sampled_counts(case, 1, seed) for seed in range(20_000))
+        assert_within_six_sigma(counts, reference_law(case))
 
-# cumulative thresholds: multiples of 1/256 lie on every bucket edge (b >= 8
-# whenever there is a threshold), their neighbours one ulp away lie just
-# inside a bucket, 1 + 2**-52 is a cumulative sum that rounded above 1, and
-# a small pool of values makes repeated thresholds (zero probabilities) likely
-THRESHOLDS = st.one_of(
-    st.integers(0, 256).map(lambda k: k / 256),
-    st.integers(1, 255).map(lambda k: float(np.nextafter(k / 256, 0.0))),
-    st.integers(1, 255).map(lambda k: float(np.nextafter(k / 256, 1.0))),
-    st.floats(0.0, 1.0),
-    st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.0 + 2**-52]),
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.integers(2, 6),
+    weights=st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3]), min_size=36, max_size=36),
+    seed=st.integers(0, 2**128 - 1),
+    trials=st.integers(1, 10**10),
 )
-
-
-def monolithic_kernel_counts(cum, trials, seed):
-    """Unblocked reference sampler: one variate per trial, cell #{cum[:-1] <= u}."""
-    u = np.random.Generator(np.random.Philox(key=seed)).random(trials)
-    return np.bincount(np.searchsorted(cum[:-1], u, side="right"), minlength=cum.size)
-
-
-class TestGuideTableSampler:
-    def test_fallback_counts_ties_like_searchsorted(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        cum = np.append(np.sort(rng.random(9)), 1.0)
-        # words whose variate (w >> 11) * 2**-53 equals a threshold, the top word of
-        # that variate, the variate one step below it, and random words
-        on = (cum[:-1] * 2.0**53).astype(np.uint64) << np.uint64(11)
-        words = np.concatenate(
-            [on, on + np.uint64(2**11 - 1), on - np.uint64(2**11), rng.integers(0, 2**64, 50, dtype=np.uint64)]
-        )
-        want = np.searchsorted(cum[:-1], (words >> np.uint64(11)) * 2.0**-53, side="right")
-        assert np.all(want[:9] == np.arange(1, 10))
-        # 10 cells give 2**11 buckets; each threshold splits its bucket, so these words fall back
-        assert np.all(protosim._guide_table(cum, 11)[on >> np.uint64(53)] < 0)
-
-        def sampled(chunk):  # the kernel on a stream that hands out `chunk`
-            monkeypatch.setattr(np.random, "Philox", lambda key: SimpleNamespace(random_raw=lambda n: chunk[:n].copy()))
-            return protosim._sample_counts(cum, chunk.size, 0)
-
-        assert all(sampled(words[i : i + 1])[cell] == 1 for i, cell in enumerate(want))
-        assert np.array_equal(sampled(words), np.bincount(want, minlength=cum.size))
-
-    def test_large_alphabet_within_table_budget(self):
-        # 15,000 cells: the table stops at 2**18 entries, and up to 6% of trials fall back
-        rng = np.random.default_rng(5)
-        cum = np.append(np.sort(rng.random(14_999)), 1.0)
-        tracemalloc.start()
-        try:
-            got = protosim._sample_counts(cum, 70_000, 9)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, monolithic_kernel_counts(cum, 70_000, 9))
-        assert peak_mb < 16.0
-
-    @settings(max_examples=80, deadline=None, database=None)
-    @given(
-        n=st.integers(1, 1_200),
-        seed=st.integers(0, 2**128 - 1),
-        trials=st.integers(1, 20_000),
-        data=st.data(),
-    )
-    def test_tables_equal_monolithic(self, n, seed, trials, data):
-        # up to 150 thresholds drawn here and the rest uniform from the seed: drawing all
-        # of a table near the 2**18 cap (n > 1,025) here took up to 0.25 s per example
-        k = min(n - 1, 150)
-        drawn = data.draw(st.lists(THRESHOLDS, min_size=k, max_size=k), label="thresholds")
-        bulk = np.random.default_rng(seed).random(n - 1 - k)
-        cum = np.append(np.sort(np.concatenate([drawn, bulk])), 1.0)
-        assert np.array_equal(protosim._sample_counts(cum, trials, seed), monolithic_kernel_counts(cum, trials, seed))
-
-    @settings(max_examples=40, deadline=None, database=None)
-    @given(
-        d=st.integers(2, 10),
-        seed=st.integers(0, 2**63 - 1),
-        trials=st.integers(1, 20_000),
-        data=st.data(),
-    )
-    def test_quantum_equals_monolithic(self, d, seed, trials, data):
-        weights = data.draw(
-            st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3]), min_size=d * d, max_size=d * d)
-        )
-        prior = np.array(weights) + (sum(weights) == 0.0)  # all zero: uniform
-        e = EncodingEnsemble(d, weyl_set(d).unitaries, prior / prior.sum())
-        if data.draw(st.booleans(), label="maximally entangled"):
-            s = max_entangled_state(d)
-        else:
-            s = random_bipartite_state((d, 2), np.random.default_rng(seed))
-        decoder = SingleParticleDecoder("z")
-        got = run_quantum_dense(s, e, decoder, trials, seed).joint_counts
-        assert np.array_equal(got, monolithic_quantum_counts(s, e, decoder, trials, seed))
-
-    @settings(max_examples=40, deadline=None, database=None)
-    @given(
-        cells=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.1, 0.3, 0.6]), min_size=4, max_size=4),
-        use_key=st.booleans(),
-        seed=st.integers(0, 2**128 - 1),
-        trials=st.integers(1, 20_000),
-    )
-    def test_classical_equals_monolithic(self, cells, use_key, seed, trials):
-        p = np.array(cells) + (sum(cells) == 0.0)  # all zero: uniform
-        joint = ClassicalJointState((p / p.sum()).reshape(2, 2))
-        got = run_classical_dense(joint, use_key, trials, seed).joint_counts
-        assert np.array_equal(got, monolithic_classical_counts(joint, use_key, trials, seed))
+def test_random_priors_equal_reference_draw(d, weights, seed, trials):
+    # Weyl priors with zero messages on a random state, read out on A alone
+    prior = np.array(weights[: d * d]) + (sum(weights[: d * d]) == 0.0)  # all zero: uniform
+    e = EncodingEnsemble(d, weyl_set(d).unitaries, prior / prior.sum())
+    s = random_bipartite_state((d, 2), np.random.default_rng(seed % 2**64))
+    decoder = SingleParticleDecoder("z")
+    counts, p = drawn(run_quantum_dense, s, e, decoder, trials, seed)
+    assert np.allclose(p, quantum_law(s, e, decoder), rtol=0, atol=1e-15)
+    assert np.array_equal(counts.ravel(), reference_draw(p, trials, seed))

@@ -3,7 +3,7 @@
 Each file under tests/data/golden/<name>.out holds the exact stdout of
 `densecap <argv>` run from that directory.  The files were written by
 the release before the batched Werner sweep, the `simulate_*` files by
-the release that draws each trial from one Philox word, `verify_d4` by
+the release that draws the count table as one multinomial, `verify_d4` by
 the release before the one-pass JSON emitter, and
 `entanglement_werner_085` by the release that gave the convex roof its
 Barzilai-Borwein steps, so a change
@@ -33,7 +33,7 @@ COMMANDS = {
     "werner_half": ["capacity", "--state", "werner:0.5"],
     "max_entangled_3": ["capacity", "--state", "max-entangled:3"],
     "cross_check_2x3": ["capacity", "--state", "state_2x3.json", "--dims", "2,3", "--cross-check"],
-    # 200,003 trials: twelve full 16,384-trial blocks and a partial one
+    # 200,003 trials, drawn as one multinomial over the nonzero cells; zero cells stay 0
     "simulate_bell": ["simulate", "--decoder", "bell", "--trials", "200003", "--seed", "11"],
     "simulate_single_z": ["simulate", "--decoder", "single:z", "--trials", "200003", "--seed", "12"],
     "simulate_weyl3": [

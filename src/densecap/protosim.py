@@ -104,10 +104,9 @@ def _sample_counts(p: np.ndarray, trials: int, seed: int) -> np.ndarray:
     NEP 19 freezes RandomState's streams, so a seed gives the same counts
     on every numpy release; only the nonzero cells enter the draw.
     """
-    nz = np.flatnonzero(p > 0)
+    nz = p > 0
     counts = np.zeros(p.size, dtype=np.int64)
-    rs = np.random.RandomState(np.random.Philox(key=seed))
-    counts[nz] = rs.multinomial(trials, p[nz] / p[nz].sum())
+    counts[nz] = np.random.RandomState(np.random.Philox(key=seed)).multinomial(trials, p[nz] / p[nz].sum())
     return counts
 
 

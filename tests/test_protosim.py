@@ -327,7 +327,7 @@ def drawn(run, *args):
 class TestBlockedSampler:
     """Cell order, zero cells and memory of the count-table draw (named for the blocked sampler it replaced)."""
 
-    # trial counts from 1 to 200,003; the draw's cost does not depend on them
+    # the replaced sampler's block edges, kept as trial counts from 1 to 200,003
     @pytest.mark.parametrize("trials", [1, 16_383, 16_384, 16_385, 65_535, 65_536, 65_537, 200_003])
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_equals_monolithic_sampler(self, case, trials):
@@ -372,7 +372,7 @@ class TestBlockedSampler:
         assert abs(large - small) < 1.0
 
     def test_working_set_bounded(self):
-        # the draw holds only per-cell arrays; the blocked samplers traced 0.52 to 2.54 MB here
+        # the draw holds only per-cell arrays
         run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), 1_000, 3)  # first-call caches
         tracemalloc.start()
         try:
@@ -424,7 +424,7 @@ def test_random_priors_equal_reference_draw(d, weights, seed, trials):
     # Weyl priors with zero messages on a random state, read out on A alone
     prior = np.array(weights[: d * d]) + (sum(weights[: d * d]) == 0.0)  # all zero: uniform
     e = EncodingEnsemble(d, weyl_set(d).unitaries, prior / prior.sum())
-    s = random_bipartite_state((d, 2), np.random.default_rng(seed % 2**64))
+    s = random_bipartite_state((d, 2), np.random.default_rng(seed))
     decoder = SingleParticleDecoder("z")
     counts, p = drawn(run_quantum_dense, s, e, decoder, trials, seed)
     assert np.allclose(p, quantum_law(s, e, decoder), rtol=0, atol=1e-15)

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -78,6 +77,7 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_float(x: float) -> str:
     """x rounded to 12 significant digits, in the text json.dumps gives that float.
 
+    The sweep writes each value through this, faster than json.dumps.
     .12g already is the shortest round-trip text of the rounded value,
     except where repr adds ".0" to an integer, writes 1e12 <= |x| < 1e16
     in fixed notation, or shortens a subnormal.
@@ -90,53 +90,27 @@ def _json_float(x: float) -> str:
     return repr(float(text))
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2), with every float written by _json_float.
-
-    numpy scalars and arrays are written as the Python numbers and lists
-    they convert to, tuples as lists; dict keys must be strings.
-    """
-    if type(value) is float:
-        return _json_float(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _jsonable(value):
+    """value with each float rounded to 12 significant digits, numpy values as Python ones."""
     if isinstance(value, (float, np.floating)):
-        return _json_float(float(value))
+        return float(_fmt(value))
+    if isinstance(value, np.integer):
+        return int(value)
     if isinstance(value, np.ndarray):
-        return _json_text(value.tolist(), indent)
-    inner = indent + "  "
+        return _jsonable(value.tolist())
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _json_text(value) -> str:
+    return json.dumps(_jsonable(value), indent=2)
 
 
 def _open_out(out: str | None):
     return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
-
-
-def _emit(text: str, out: str | None) -> None:
-    with _open_out(out) as fh:
-        fh.write(text + "\n")
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(_json_text(payload), out)
 
 
 def _csv_field(x) -> str:
@@ -145,8 +119,15 @@ def _csv_field(x) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
-    _emit("\n".join(",".join(map(_csv_field, row)) for row in [header, *rows]), out)
+def _finish(args, ok: bool, payload: dict, header: list[str], rows: list[list]) -> int:
+    """Write payload as JSON, or header and rows as CSV, to --out or stdout; the exit code of ok."""
+    if args.format == "csv":
+        text = "\n".join(",".join(map(_csv_field, row)) for row in [header, *rows])
+    else:
+        text = _json_text(payload)
+    with _open_out(args.out) as fh:
+        fh.write(text + "\n")
+    return 0 if ok else 1
 
 
 def _load_json(path: str):
@@ -241,7 +222,7 @@ def _write_sweep(args, blocks) -> bool:
         head, template = ",".join(_CAPACITY_CSV_HEADER) + sep, ",".join(["%s"] * len(keys))
     else:  # one row template, and the payload around the rows, both laid out by _json_text
         keys, number, sep = list(first), _json_float, ",\n    "  # the rows sit two levels deep
-        template = _json_text(dict.fromkeys(keys), sep[1:]).replace("null", "%s")
+        template = _json_text(dict.fromkeys(keys)).replace("\n", sep[1:]).replace("null", "%s")
         payload = {"command": "capacity", "family": "werner", "sweep": args.sweep, "rows": [None], "pass": None}
         head, middle, end = _json_text(payload).rsplit("null", 2)
     ok = True
@@ -275,22 +256,11 @@ def cmd_capacity(args) -> int:
         return 0 if _write_sweep(args, _sweep_blocks(*_parse_sweep(args.sweep))) else 1
 
     state = load_state(args.state)
-    if isinstance(state, DensityMatrix) and not args.dims:
-        root = math.isqrt(state.dim)
-        if root * root != state.dim:
-            # single system: only the normal capacity is defined
-            payload = {
-                "command": "capacity",
-                "state": args.state,
-                "dim": state.dim,
-                "c_normal": cap.normal_capacity(state),
-                "pass": True,
-            }
-            if args.format == "csv":
-                _emit_csv(_CAPACITY_CSV_HEADER, [[args.state, payload["c_normal"], "", "", ""]], args.out)
-            else:
-                _emit_json(payload, args.out)
-            return 0
+    single = isinstance(state, DensityMatrix) and not (args.dims or args.cross_check)
+    if single and math.isqrt(state.dim) ** 2 != state.dim:  # only the normal capacity is defined
+        c_normal = cap.normal_capacity(state)
+        payload = {"command": "capacity", "state": args.state, "dim": state.dim, "c_normal": c_normal, "pass": True}
+        return _finish(args, True, payload, _CAPACITY_CSV_HEADER, [[args.state, c_normal, "", "", ""]])
     s = _as_bipartite(state, args.dims)
     row = _capacity_row(s)
     ok = max(row["residual_ab"], row["residual_ba"], row["asymmetry_residual"]) < args.tol
@@ -306,11 +276,7 @@ def cmd_capacity(args) -> int:
         }
         ok = ok and payload["cross_check"]["difference"] < 1e-6
     payload["pass"] = ok
-    if args.format == "csv":
-        _emit_csv(_CAPACITY_CSV_HEADER, [[args.state, *(row[key] for key in _CAPACITY_CSV_KEYS)]], args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0 if ok else 1
+    return _finish(args, ok, payload, _CAPACITY_CSV_HEADER, [[args.state, *(row[key] for key in _CAPACITY_CSV_KEYS)]])
 
 
 def _gaussian_blocks(rng: np.random.Generator, samples: int, width: int):
@@ -367,6 +333,7 @@ def cmd_verify(args) -> int:
 
     if args.ensemble:
         e = ensemble_from_json(_load_json(args.ensemble))
+        d = e.dim
         gram, _ = verify_orthogonality(e)
         record("ensemble_gram", float(np.max(np.abs(gram - np.eye(len(e))))), 1e-10)
         record("ensemble_twirl", _twirl_residual(rng, args.samples, e), 1e-10)
@@ -415,23 +382,9 @@ def cmd_verify(args) -> int:
             record(name, residual, tolerance)
 
     ok = all(c["pass"] for c in checks)
-    if args.format == "csv":
-        _emit_csv(
-            ["check", "max_residual", "tolerance", "pass"],
-            [[c["check"], c["max_residual"], c["tolerance"], c["pass"]] for c in checks],
-            args.out,
-        )
-    else:
-        payload = {
-            "command": "verify",
-            "d": d,
-            "samples": args.samples,
-            "seed": args.seed,
-            "checks": checks,
-            "pass": ok,
-        }
-        _emit_json(payload, args.out)
-    return 0 if ok else 1
+    payload = {"command": "verify", "d": d, "samples": args.samples, "seed": args.seed, "checks": checks, "pass": ok}
+    header = ["check", "max_residual", "tolerance", "pass"]  # the keys of each check
+    return _finish(args, ok, payload, header, [list(c.values()) for c in checks])
 
 
 def _parse_decoder(spec: str):
@@ -471,17 +424,10 @@ def cmd_simulate(args) -> int:
             state = sim.ClassicalJointState.maximally_correlated()
         trace = sim.run_classical_dense(state, args.use_key, args.trials, args.seed)
 
-    if args.format == "csv":
-        rows = [
-            [a, b, int(trace.joint_counts[a, b])]
-            for a in range(trace.joint_counts.shape[0])
-            for b in range(trace.joint_counts.shape[1])
-        ]
-        _emit_csv(["message", "outcome", "count"], rows, args.out)
-    else:
-        payload = {"command": "simulate", "protocol": args.protocol, **trace.to_json()}
-        _emit_json(payload, args.out)
-    return 0
+    counts = trace.joint_counts
+    rows = [[a, b, int(counts[a, b])] for a, b in np.ndindex(counts.shape)]
+    payload = {"command": "simulate", "protocol": args.protocol, **trace.to_json()}
+    return _finish(args, True, payload, ["message", "outcome", "count"], rows)
 
 
 def cmd_entanglement(args) -> int:
@@ -490,8 +436,8 @@ def cmd_entanglement(args) -> int:
         raise ParseError(f"--restarts must be in 1..{MAX_RESTARTS:,}, got {args.restarts}")
     s = _as_bipartite(load_state(args.state), args.dims)
     # no state needs more than (d_A d_B)^2 pure terms (Caratheodory)
-    if args.m is not None and args.m > s.joint.dim**2:
-        raise ParseError(f"--m must be at most {s.joint.dim**2} for this state, got {args.m}")
+    if args.m is not None and not 1 <= args.m <= s.joint.dim**2:
+        raise ParseError(f"--m must be in 1..{s.joint.dim**2} for this state, got {args.m}")
     result = ent.convex_roof(s, m=args.m, restarts=args.restarts, tol=args.tol, seed=args.seed)
     record = result.to_json()
     payload = {
@@ -502,30 +448,17 @@ def cmd_entanglement(args) -> int:
         "converged": record["converged"],
     }
     ok = result.converged
-    oracle_gap = None
+    oracle = {}
     if s.dims == (2, 2):
         c, ef = ent.concurrence_oracle(s)
-        oracle_gap = abs(result.value - 2.0 * ef)
-        payload["oracle"] = {"concurrence": c, "ef": ef, "two_ef": 2.0 * ef, "gap": oracle_gap}
-        ok = oracle_gap < 5e-3
+        oracle = {"concurrence": c, "ef": ef, "two_ef": 2.0 * ef, "gap": abs(result.value - 2.0 * ef)}
+        payload["oracle"] = oracle
+        ok = oracle["gap"] < 5e-3
     payload["pass"] = ok
     if args.show_decomposition:
         payload["decomposition"] = record["decomposition"]
-    if args.format == "csv":
-        _emit_csv(
-            ["value", "oracle_two_ef", "gap", "converged", "pass"],
-            [[
-                result.value,
-                2.0 * payload["oracle"]["ef"] if oracle_gap is not None else "",
-                oracle_gap if oracle_gap is not None else "",
-                result.converged,
-                ok,
-            ]],
-            args.out,
-        )
-    else:
-        _emit_json(payload, args.out)
-    return 0 if ok else 1
+    row = [result.value, oracle.get("two_ef", ""), oracle.get("gap", ""), result.converged, ok]
+    return _finish(args, ok, payload, ["value", "oracle_two_ef", "gap", "converged", "pass"], [row])
 
 
 class _ArgumentParser(argparse.ArgumentParser):

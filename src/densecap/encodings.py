@@ -68,6 +68,8 @@ class EncodingEnsemble:
 
     def __post_init__(self) -> None:
         d = int(self.dim)
+        if d < 2:
+            raise InvalidDimension(f"need d >= 2, got {d}")
         object.__setattr__(self, "dim", d)
         us = _stack_of(self.unitaries, (d, d), DimensionMismatch, "unitary")
         residual = np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(d)).max(axis=(1, 2))

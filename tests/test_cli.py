@@ -135,6 +135,7 @@ class TestVerifyCommand:
             "verify", "--ensemble", str(path), "--samples", "20",
         ])
         assert code == 0 and payload["pass"] is True
+        assert payload["d"] == 3  # the ensemble's, not the --d default
 
     def test_rejects_bad_dimension(self, capsys):
         code = main(["verify", "--d", "9"])
@@ -477,6 +478,13 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_single_system_cross_check_exit_4(self, capsys):
+        # the cross-check needs a bipartite split, which a lone qubit has not
+        assert main(["capacity", "--state", "bloch:0,0,1", "--cross-check"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot infer a bipartite split of dimension 2; pass --dims\n"
+
     @pytest.mark.parametrize("restarts", ["0", "-3"])
     def test_non_positive_restarts_exit_3(self, capsys, restarts):
         assert main(["entanglement", "--state", "werner:0.8", f"--restarts={restarts}"]) == 3
@@ -542,6 +550,8 @@ class TestErrorPaths:
             (["entanglement", "--restarts", "100000000"], "load_state"),
             (["entanglement", "--state", "werner:0.8", "--m", "17"], "ent.convex_roof"),
             (["entanglement", "--state", "werner:0.8", "--m", "100000000"], "ent.convex_roof"),
+            (["entanglement", "--state", "werner:0.8", "--m", "0"], "ent.convex_roof"),
+            (["entanglement", "--state", "werner:0.8", "--m", "-3"], "ent.convex_roof"),
         ],
     )
     def test_size_caps_exit_3_before_allocation(self, capsys, monkeypatch, argv, stage):
@@ -573,8 +583,9 @@ class TestErrorPaths:
             ({"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 2, "prior": [1.5, -0.5]}, 4),
             ({"dim": 2, "unitaries": []}, 3),
             ({"dim": float("inf"), "unitaries": [[[[1, 0]]]]}, 3),
+            ({"dim": 1, "unitaries": [[[[1, 0]]]]}, 4),
         ],
-        ids=["non-unitary", "prior-length", "nan-prior", "negative-prior", "empty", "infinite-dim"],
+        ids=["non-unitary", "prior-length", "nan-prior", "negative-prior", "empty", "infinite-dim", "dim-1"],
     )
     def test_bad_ensemble_one_line_error(self, capsys, tmp_path, command, ensemble, code):
         path = tmp_path / "ensemble.json"

@@ -303,6 +303,11 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             EncodingEnsemble(2, (np.array([[1.0, 0], [0, 0.5]]),), np.array([1.0]))
 
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_rejects_dimension_below_two(self, d):
+        with pytest.raises(InvalidDimension):
+            EncodingEnsemble(d, (np.eye(max(d, 1)),), np.array([1.0]))
+
     def test_rejects_bad_prior(self):
         with pytest.raises(ValueError):
             EncodingEnsemble(2, (np.eye(2),), np.array([0.5]))

@@ -92,16 +92,14 @@ def _json_float(x: float) -> str:
 
 def _jsonable(value):
     """value with each float rounded to 12 significant digits, numpy values as Python ones."""
-    if isinstance(value, (float, np.floating)):
-        return float(_fmt(value))
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _jsonable(value.tolist())
     return value
 
 
@@ -259,7 +257,13 @@ def cmd_capacity(args) -> int:
     single = isinstance(state, DensityMatrix) and not (args.dims or args.cross_check)
     if single and math.isqrt(state.dim) ** 2 != state.dim:  # only the normal capacity is defined
         c_normal = cap.normal_capacity(state)
-        payload = {"command": "capacity", "state": args.state, "dim": state.dim, "c_normal": c_normal, "pass": True}
+        payload = {
+            "command": "capacity",
+            "state": args.state,
+            "dim": state.dim,
+            "c_normal": c_normal,
+            "pass": True,
+        }
         return _finish(args, True, payload, _CAPACITY_CSV_HEADER, [[args.state, c_normal, "", "", ""]])
     s = _as_bipartite(state, args.dims)
     row = _capacity_row(s)
@@ -382,7 +386,14 @@ def cmd_verify(args) -> int:
             record(name, residual, tolerance)
 
     ok = all(c["pass"] for c in checks)
-    payload = {"command": "verify", "d": d, "samples": args.samples, "seed": args.seed, "checks": checks, "pass": ok}
+    payload = {
+        "command": "verify",
+        "d": d,
+        "samples": args.samples,
+        "seed": args.seed,
+        "checks": checks,
+        "pass": ok,
+    }
     header = ["check", "max_residual", "tolerance", "pass"]  # the keys of each check
     return _finish(args, ok, payload, header, [list(c.values()) for c in checks])
 
@@ -424,8 +435,7 @@ def cmd_simulate(args) -> int:
             state = sim.ClassicalJointState.maximally_correlated()
         trace = sim.run_classical_dense(state, args.use_key, args.trials, args.seed)
 
-    counts = trace.joint_counts
-    rows = [[a, b, int(counts[a, b])] for a, b in np.ndindex(counts.shape)]
+    rows = [[a, b, n] for a, counts in enumerate(trace.joint_counts.tolist()) for b, n in enumerate(counts)]
     payload = {"command": "simulate", "protocol": args.protocol, **trace.to_json()}
     return _finish(args, True, payload, ["message", "outcome", "count"], rows)
 

@@ -65,6 +65,31 @@ SWEEP_BLOCK = 1024
 # capacity's CSV header, and the row keys of its columns after param
 _CAPACITY_CSV_HEADER = ["param", "c_normal", "c_dense_ab", "c_dense_ba", "mutual_info"]
 _CAPACITY_CSV_KEYS = ("c_normal_a", "c_dense_ab", "c_dense_ba", "mutual_info")
+# flags checked against a range once parsed: flag -> (test, the values it allows)
+_RANGES = {
+    "--d": (lambda n: 2 <= n <= 6, "in 2..6"),
+    "--samples": (lambda n: 1 <= n <= MAX_SWEEP_POINTS, f"in 1..{MAX_SWEEP_POINTS:,}"),
+    "--trials": (lambda n: 1 <= n <= MAX_TRIALS, f"in 1..{MAX_TRIALS:,}"),
+    "--restarts": (lambda n: 1 <= n <= MAX_RESTARTS, f"in 1..{MAX_RESTARTS:,}"),
+    "--seed": (lambda n: 0 <= n < 2**128, "in 0..2**128 - 1"),  # the range of a Philox key
+    "--tol": (lambda t: math.isfinite(t) and t > 0.0, "finite and > 0"),
+}
+# flags that apply in one mode only, each parsed to None so that a given one shows:
+# (command, flag) -> (default, {flag that sets the mode: its value there, None for not given})
+_MODE_ONLY = {
+    ("capacity", "--sweep"): (None, {"--state": "werner"}),
+    ("capacity", "--dims"): (None, {"--sweep": None}),
+    ("capacity", "--cross-check"): (None, {"--sweep": None}),
+    ("capacity", "--direction"): ("a2b", {"--sweep": None, "--cross-check": True}),
+    ("verify", "--d"): (2, {"--ensemble": None}),
+    ("simulate", "--state"): ("bell", {"--protocol": "quantum"}),
+    ("simulate", "--dims"): (None, {"--protocol": "quantum"}),
+    ("simulate", "--ensemble"): (None, {"--protocol": "quantum"}),
+    ("simulate", "--decoder"): ("bell", {"--protocol": "quantum"}),
+    ("simulate", "--joint"): ("0.5,0,0,0.5", {"--protocol": "classical"}),  # maximally correlated
+    ("simulate", "--use-key"): (True, {"--protocol": "classical"}),
+    ("entanglement", "--show-decomposition"): (None, {"--format": "json"}),
+}
 
 
 def _fmt(x: float) -> str:
@@ -140,11 +165,11 @@ def load_state(spec: str) -> DensityMatrix | BipartiteState:
     """Resolve a --state argument: built-in name or JSON file path."""
     if spec == "bell":
         return bell_state()
-    if spec.startswith("werner:"):
+    if spec.partition(":")[0] == "werner":  # bare werner too: only --sweep sets p itself
         try:
-            return werner_state(float(spec.split(":", 1)[1]))
+            return werner_state(float(spec[len("werner:") :]))
         except ValueError:
-            raise ParseError(f"bad werner parameter in {spec!r}") from None
+            raise ParseError(f"--state needs werner:p with a number p, got {spec!r}") from None
     if spec.startswith("max-entangled:"):
         try:
             d = int(spec.split(":", 1)[1])
@@ -239,18 +264,8 @@ def _write_sweep(args, blocks) -> bool:
     return ok
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParseError(f"--tol must be finite and > 0, got {tol}")
-
-
 def cmd_capacity(args) -> int:
-    _check_tol(args.tol)
     if args.sweep:
-        if args.state != "werner":
-            raise ParseError(f"--sweep sets p itself; pass --state werner, got {args.state!r}")
-        if args.dims or args.cross_check:
-            raise ParseError("--sweep cannot be combined with --dims or --cross-check")
         return 0 if _write_sweep(args, _sweep_blocks(*_parse_sweep(args.sweep))) else 1
 
     state = load_state(args.state)
@@ -324,10 +339,6 @@ def _twirl_residual(rng: np.random.Generator, samples: int, e=None) -> float:
 
 
 def cmd_verify(args) -> int:
-    if not 2 <= args.d <= 6:
-        raise ParseError(f"--d must be in 2..6, got {args.d}")
-    if not 1 <= args.samples <= MAX_SWEEP_POINTS:
-        raise ParseError(f"--samples must be in 1..{MAX_SWEEP_POINTS:,}, got {args.samples}")
     d = args.d
     rng = np.random.default_rng(args.seed)
     checks: list[dict] = []
@@ -398,42 +409,24 @@ def cmd_verify(args) -> int:
     return _finish(args, ok, payload, header, [list(c.values()) for c in checks])
 
 
-def _parse_decoder(spec: str):
-    if spec == "bell":
-        return sim.BellDecoder()
-    if spec == "single" or spec.startswith("single:"):
-        basis = spec.split(":", 1)[1] if ":" in spec else "z"
-        if basis not in ("x", "y", "z"):
-            raise ParseError(f"decoder basis must be x, y, or z, got {basis!r}")
-        return sim.SingleParticleDecoder(basis)
-    raise ParseError(f"decoder must be 'bell' or 'single[:basis]', got {spec!r}")
-
-
 def cmd_simulate(args) -> int:
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ParseError(f"--trials must be in 1..{MAX_TRIALS:,}, got {args.trials}")
     if args.protocol == "quantum":
-        s = _as_bipartite(load_state(args.state or "bell"), args.dims)
+        s = _as_bipartite(load_state(args.state), args.dims)
         if args.ensemble:
             e = ensemble_from_json(_load_json(args.ensemble))
         elif s.dim_a == 2:
             e = canonical_qubit_set(OrthonormalFrame.standard())
         else:
             e = weyl_set(s.dim_a)
-        trace = sim.run_quantum_dense(s, e, _parse_decoder(args.decoder), args.trials, args.seed)
+        basis = args.decoder.partition(":")[2] or "z"  # of a single-particle decoder
+        decoder = sim.BellDecoder() if args.decoder == "bell" else sim.SingleParticleDecoder(basis)
+        trace = sim.run_quantum_dense(s, e, decoder, args.trials, args.seed)
     else:
-        if args.joint:
-            parts = args.joint.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"--joint needs four probabilities, got {args.joint!r}")
-            try:
-                table = np.array([float(p) for p in parts]).reshape(2, 2)
-            except ValueError:
-                raise ParseError(f"--joint needs numbers, got {args.joint!r}") from None
-            state = sim.ClassicalJointState(table)
-        else:
-            state = sim.ClassicalJointState.maximally_correlated()
-        trace = sim.run_classical_dense(state, args.use_key, args.trials, args.seed)
+        try:
+            table = np.array([float(p) for p in args.joint.split(",")]).reshape(2, 2)
+        except ValueError:  # a part that is not a number, or not four parts
+            raise ParseError(f"--joint needs four numbers p00,p01,p10,p11, got {args.joint!r}") from None
+        trace = sim.run_classical_dense(sim.ClassicalJointState(table), args.use_key, args.trials, args.seed)
 
     rows = [[a, b, n] for a, counts in enumerate(trace.joint_counts.tolist()) for b, n in enumerate(counts)]
     payload = {"command": "simulate", "protocol": args.protocol, **trace.to_json()}
@@ -441,9 +434,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_entanglement(args) -> int:
-    _check_tol(args.tol)
-    if not 1 <= args.restarts <= MAX_RESTARTS:
-        raise ParseError(f"--restarts must be in 1..{MAX_RESTARTS:,}, got {args.restarts}")
     s = _as_bipartite(load_state(args.state), args.dims)
     # no state needs more than (d_A d_B)^2 pure terms (Caratheodory)
     if args.m is not None and not 1 <= args.m <= s.joint.dim**2:
@@ -471,6 +461,24 @@ def cmd_entanglement(args) -> int:
     return _finish(args, ok, payload, ["value", "oracle_two_ef", "gap", "converged", "pass"], [row])
 
 
+def _check_flags(args) -> None:
+    """Reject a flag of _MODE_ONLY given outside its mode, then a flag of _RANGES
+    given a value outside its range; set each flag of _MODE_ONLY not given to its default."""
+    values = {"--" + dest.replace("_", "-"): value for dest, value in vars(args).items()}
+    rows = [(flag, *row) for (command, flag), row in _MODE_ONLY.items() if command == args.command]
+    for flag, _, modes in rows:
+        for mode, value in modes.items():
+            if values[flag] is not None and values[mode] != value:
+                needs = f"{flag} needs {mode}" + ("" if value is True else f" {value}")
+                raise ParseError(needs if value is not None else f"{mode} cannot be combined with {flag}")
+    for flag, (test, allowed) in _RANGES.items():
+        if values.get(flag) is not None and not test(values[flag]):
+            raise ParseError(f"{flag} must be {allowed}, got {values[flag]}")
+    for flag, default, _ in rows:
+        if values[flag] is None:
+            setattr(args, flag[2:].replace("-", "_"), default)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as a ParseError: one `error:` line, exit 3."""
 
@@ -486,23 +494,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("capacity", help="capacities, mutual information, identity residuals")
     p.add_argument("--state", default="bell", help="path or bell|werner:p|max-entangled:d|bloch:x,y,z")
-    p.add_argument("--dims", default=None, help="bipartite split d_A,d_B for raw matrix input")
-    p.add_argument("--direction", choices=["a2b", "b2a"], default="a2b")
+    p.add_argument("--dims", help="bipartite split d_A,d_B for raw matrix input")
+    p.add_argument("--direction", choices=["a2b", "b2a"], help="with --cross-check (default a2b)")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--sweep", default=None, help="p0:p1:step sweep over the werner family")
-    p.add_argument("--cross-check", action="store_true", help="also optimize the signal prior")
-    common(p)
+    p.add_argument("--sweep", help="p0:p1:step sweep over the werner family")
+    p.add_argument("--cross-check", action="store_true", default=None, help="also optimize the signal prior")
+    common(p, seed=False)  # capacity draws nothing
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("verify", help="randomized twirl / orthogonality / identity checks")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, help="dimension (default 2)")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--ensemble", default=None, help="check an ensemble JSON file instead")
     common(p)
@@ -510,13 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo protocol simulation")
     p.add_argument("--protocol", choices=["quantum", "classical"], default="quantum")
-    p.add_argument("--state", default=None, help="quantum: shared pair (default bell)")
-    p.add_argument("--dims", default=None)
-    p.add_argument("--ensemble", default=None, help="quantum: encoding ensemble JSON")
-    p.add_argument("--decoder", default="bell", help="bell or single[:x|y|z]")
+    p.add_argument("--state", help="quantum: shared pair (default bell)")
+    p.add_argument("--dims", help="quantum: bipartite split d_A,d_B")
+    p.add_argument("--ensemble", help="quantum: encoding ensemble JSON")
+    decoders = ["bell", "single", "single:x", "single:y", "single:z"]
+    p.add_argument("--decoder", choices=decoders, help="quantum (default bell; single measures z)")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--joint", default=None, help="classical: p00,p01,p10,p11")
-    p.add_argument("--use-key", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--joint", help="classical: p00,p01,p10,p11 (default 0.5,0,0,0.5)")
+    p.add_argument("--use-key", action=argparse.BooleanOptionalAction, help="classical (default on)")
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -526,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="decomposition cardinality")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--show-decomposition", action="store_true")
+    p.add_argument("--show-decomposition", action="store_true", default=None, help="json only")
     common(p)
     p.set_defaults(func=cmd_entanglement)
     return parser
@@ -535,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not 0 <= args.seed < 2**128:  # the range of a Philox key
-            raise ParseError(f"--seed must be in 0..2**128 - 1, got {args.seed}")
+        _check_flags(args)
         return args.func(args)
     except (ParseError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from densecap import capacity as cap
 from densecap import ensemble_to_json, state_to_json, werner_state
 from densecap.capacity import _averaged_states, _lift_operands
-from densecap.cli import _random_states, load_state, main
+from densecap.cli import _MODE_ONLY, _random_states, load_state, main
 from densecap.encodings import EncodingEnsemble, _qubit_set_stack, weyl_set
 from densecap.qstate import PAULI_X, _kron
 from densecap.sampling import _frame_rows
+
+# the 6x6 state of the cross_check_2x3 golden file
+STATE_2X3 = str(Path(__file__).parent / "data" / "golden" / "state_2x3.json")
 
 
 def run(capsys, argv):
@@ -99,6 +103,16 @@ class TestCapacityCommand:
         assert payload["asymmetry_residual"] < 1e-9
         assert payload["cross_check"]["difference"] < 1e-6
 
+    def test_cross_check_b_to_a(self, capsys):
+        code, payload = run_json(capsys, [
+            "capacity", "--state", STATE_2X3, "--dims", "2,3", "--cross-check", "--direction", "b2a",
+        ])
+        assert code == 0 and payload["pass"] is True
+        report = payload["cross_check"]
+        assert report["direction"] == "b2a"
+        assert report["difference"] < 1e-6
+        assert report["chi"] == pytest.approx(payload["c_dense_ba"], abs=1e-6)
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("d", [2, 3])
@@ -118,7 +132,7 @@ class TestVerifyCommand:
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(ensemble_to_json(e)))
         code, payload = run_json(capsys, [
-            "verify", "--d", "2", "--samples", "100", "--ensemble", str(path),
+            "verify", "--samples", "100", "--ensemble", str(path),
         ])
         assert code == 1
         by_name = {c["check"]: c for c in payload["checks"]}
@@ -424,6 +438,13 @@ class TestErrorPaths:
     def test_bad_werner_parameter_exit_3(self, capsys):
         assert main(["capacity", "--state", "werner:x"]) == 3
 
+    @pytest.mark.parametrize("command", ["capacity", "entanglement", "simulate"])
+    def test_bare_werner_state_exit_3(self, capsys, command):
+        assert main([command, "--state", "werner"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --state needs werner:p with a number p, got 'werner'\n"
+
     @pytest.mark.parametrize("spec", ["bloch:nan,0,0", "bloch:inf,0,0"])
     def test_non_finite_bloch_exit_4(self, capsys, spec):
         assert main(["capacity", "--state", spec]) == 4
@@ -616,6 +637,132 @@ class TestErrorPaths:
         from densecap.cli import MAX_SWEEP_POINTS, _parse_sweep
 
         assert _parse_sweep("0:0.999999:0.000001")[2] == MAX_SWEEP_POINTS
+
+
+def weyl2_file(tmp_path) -> str:
+    path = tmp_path / "weyl2.json"
+    path.write_text(json.dumps(ensemble_to_json(weyl_set(2))))
+    return str(path)
+
+
+def forbid_reads(monkeypatch) -> None:
+    import densecap.cli as cli
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a file was read or a state built")
+
+    for name in ("load_state", "_load_json"):
+        monkeypatch.setattr(cli, name, no_read)
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+# the argv that gives each flag of cli._MODE_ONLY ("@weyl2" names an ensemble file)
+FLAG_ARGV = {
+    ("capacity", "--sweep"): ["--sweep", "0:1:0.5"],
+    ("capacity", "--dims"): ["--dims", "2,2"],
+    ("capacity", "--cross-check"): ["--cross-check"],
+    ("capacity", "--direction"): ["--direction", "b2a"],
+    ("verify", "--d"): ["--d", "3"],
+    ("simulate", "--state"): ["--state", "werner:0.5"],
+    ("simulate", "--dims"): ["--dims", "2,2"],
+    ("simulate", "--ensemble"): ["--ensemble", "@weyl2"],
+    ("simulate", "--decoder"): ["--decoder", "single:x"],
+    ("simulate", "--joint"): ["--joint", "0.6,0.25,0,0.15"],
+    ("simulate", "--use-key"): ["--no-use-key"],
+    ("entanglement", "--show-decomposition"): ["--show-decomposition"],
+}
+# (flag that sets a mode, its value there) -> (argv outside the mode, argv inside it)
+MODE_ARGV = {
+    ("--state", "werner"): (["--state", "bell"], ["--state", "werner"]),
+    ("--sweep", None): (["--state", "werner", "--sweep", "0:1:0.5"], []),
+    ("--cross-check", True): ([], ["--cross-check"]),
+    ("--ensemble", None): (["--ensemble", "@weyl2"], []),
+    ("--protocol", "quantum"): (["--protocol", "classical"], ["--protocol", "quantum"]),
+    ("--protocol", "classical"): (["--protocol", "quantum"], ["--protocol", "classical"]),
+    ("--format", "json"): (["--format", "csv"], ["--format", "json"]),
+}
+# small sizes, so that each command in its mode runs fast
+SMALL = {
+    "verify": ["--samples", "5"],
+    "simulate": ["--trials", "50"],
+    "entanglement": ["--state", "werner:0.8", "--restarts", "16"],
+}
+
+
+class TestFlagTable:
+    @staticmethod
+    def argv(tmp_path, command, *parts):
+        argv = [command, *SMALL.get(command, []), *(word for part in parts for word in part)]
+        return [weyl2_file(tmp_path) if word == "@weyl2" else word for word in argv]
+
+    @pytest.mark.parametrize(
+        "command, flag, mode, value",
+        [(*key, mode, value) for key, (_, modes) in _MODE_ONLY.items() for mode, value in modes.items()],
+    )
+    def test_outside_its_mode_exit_3(self, capsys, monkeypatch, tmp_path, command, flag, mode, value):
+        argv = self.argv(tmp_path, command, FLAG_ARGV[command, flag], MODE_ARGV[mode, value][0])
+        forbid_reads(monkeypatch)
+        assert main(argv) == 3, argv
+        err = one_error_line(capsys)
+        assert flag in err and mode in err, err
+
+    @pytest.mark.parametrize("command, flag", list(_MODE_ONLY))
+    def test_inside_its_mode_exit_0(self, capsys, tmp_path, command, flag):
+        inside = [MODE_ARGV[mode, value][1] for mode, value in _MODE_ONLY[command, flag][1].items()]
+        argv = self.argv(tmp_path, command, FLAG_ARGV[command, flag], *inside)
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["simulate", "--joint", "0.6,0.25,0,0.15", "--no-use-key"], "--joint needs --protocol classical"),
+            (["simulate", "--protocol", "classical", "--ensemble", "nonexistent.json"], "--ensemble needs"),
+            (["simulate", "--protocol", "classical", "--state", "werner:0.5", "--decoder", "single:x"], "--state"),
+            (["verify", "--ensemble", "nonexistent.json", "--d", "9"], "--ensemble cannot be combined with --d"),
+            (["capacity", "--direction", "b2a"], "--direction needs --cross-check"),
+            (["capacity", "--state", "werner", "--sweep", "0:1:0.5", "--direction", "b2a"], "--sweep cannot"),
+            (["entanglement", "--show-decomposition", "--format", "csv"], "--show-decomposition needs --format json"),
+            (["capacity", "--seed", "5"], "unrecognized arguments: --seed 5"),
+        ],
+    )
+    def test_flag_that_cannot_apply_exit_3(self, capsys, monkeypatch, argv, error):
+        forbid_reads(monkeypatch)
+        assert main(argv) == 3
+        assert one_error_line(capsys).startswith(f"error: {error}")
+
+    # the shapes of the benchmark's commands; "@4" names a 4x4 state file, "@2x3" a 6x6 one
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--state", "werner", "--sweep", "0:1:0.5"],
+            ["capacity", "--state", "werner", "--sweep", "0:1:0.5", "--format", "csv"],
+            ["capacity", "--state", "@4", "--cross-check"],
+            ["capacity", "--state", "@2x3", "--dims", "2,3", "--cross-check"],
+            ["verify", "--d", "2", "--samples", "5", "--seed", "3"],
+            ["verify", "--d", "3", "--samples", "5", "--seed", "3"],
+            ["simulate", "--protocol", "quantum", "--decoder", "bell", "--trials", "50", "--seed", "3"],
+            ["simulate", "--protocol", "quantum", "--decoder", "single:z", "--trials", "50", "--seed", "3"],
+            ["simulate", "--protocol", "classical", "--use-key", "--trials", "50", "--seed", "3"],
+            ["entanglement", "--state", "werner:0.8", "--restarts", "2"],
+            ["entanglement", "--state", "@4", "--restarts", "2", "--seed", "3"],
+            ["entanglement", "--state", "@2x3", "--dims", "2,3", "--restarts", "2", "--seed", "3"],
+        ],
+    )
+    def test_benchmark_argv_shapes_accepted(self, capsys, tmp_path, argv):
+        four = tmp_path / "werner.json"
+        four.write_text(json.dumps(state_to_json(werner_state(0.5).joint)))
+        files = {"@4": str(four), "@2x3": STATE_2X3}
+        assert main([files.get(word, word) for word in argv]) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
 
 
 class TestDeterminism:

@@ -6,9 +6,10 @@ the release before the batched Werner sweep, the `simulate_*` files by
 the release that draws the count table as one multinomial, `verify_d4` by
 the release before the one-pass JSON emitter,
 `entanglement_werner_085` by the release that gave the convex roof its
-Barzilai-Borwein steps, and the `*_csv` files of single commands and
-`bloch_z*` by the release before the standard library's JSON encoder
-replaced the hand-written one, so a change to the numerics or the
+Barzilai-Borwein steps, `entanglement_2x3_restarts9` by the release
+before the search kept only its live restarts in the batch, and the
+`*_csv` files of single commands and `bloch_z*` by the release before
+the standard library's JSON encoder replaced the hand-written one, so a change to the numerics or the
 formatting of these commands shows here as a byte diff.
 Regenerate a file only for a deliberate output change, and say so in
 the change log.
@@ -33,6 +34,10 @@ COMMANDS = {
     # a nested dict and booleans in the JSON
     "entanglement_werner_085": ["entanglement", "--state", "werner:0.85", "--restarts", "4"],
     "entanglement_werner_085_csv": ["entanglement", "--state", "werner:0.85", "--restarts", "4", "--format", "csv"],
+    # the SVD path, with a batch that shrinks from 9 restarts to 1 as they meet the stopping rule
+    "entanglement_2x3_restarts9": [
+        "entanglement", "--state", "state_2x3.json", "--dims", "2,3", "--restarts", "9", "--show-decomposition"
+    ],
     "werner_half": ["capacity", "--state", "werner:0.5"],
     "werner_half_csv": ["capacity", "--state", "werner:0.5", "--format", "csv"],
     # a single system: only the normal capacity, and a CSV field quoted for its commas

@@ -439,13 +439,12 @@ def cmd_entanglement(args) -> int:
     if args.m is not None and not 1 <= args.m <= s.joint.dim**2:
         raise ParseError(f"--m must be in 1..{s.joint.dim**2} for this state, got {args.m}")
     result = ent.convex_roof(s, m=args.m, restarts=args.restarts, tol=args.tol, seed=args.seed)
-    record = result.to_json()
     payload = {
         "command": "entanglement",
         "state": args.state,
-        "value": record["value"],
-        "restarts_used": record["restarts_used"],
-        "converged": record["converged"],
+        "value": result.value,
+        "restarts_used": result.restarts_used,
+        "converged": result.converged,
     }
     ok = result.converged
     oracle = {}
@@ -456,7 +455,7 @@ def cmd_entanglement(args) -> int:
         ok = oracle["gap"] < 5e-3
     payload["pass"] = ok
     if args.show_decomposition:
-        payload["decomposition"] = record["decomposition"]
+        payload["decomposition"] = result.to_json()["decomposition"]
     row = [result.value, oracle.get("two_ef", ""), oracle.get("gap", ""), result.converged, ok]
     return _finish(args, ok, payload, ["value", "oracle_two_ef", "gap", "converged", "pass"], [row])
 

@@ -84,8 +84,8 @@ def _log2_floor(x: np.ndarray) -> np.ndarray:
     return np.log2(np.maximum(x, 1e-300))
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x * _log2_floor(x), 0.0)
+def _xlog2x(x: np.ndarray, log2_x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x * log2_x, 0.0)
 
 
 def _binary_entropy(p: float) -> float:
@@ -103,7 +103,7 @@ def decomposition_cost(d: Decomposition) -> float:
     d_a, d_b = d.dims
     stack = d.vectors.reshape(len(d.vectors), d_a, d_b)
     schmidt_sq = np.linalg.svd(stack, compute_uv=False) ** 2
-    entropies = -np.sum(_xlog2x(schmidt_sq), axis=1)
+    entropies = -np.sum(_xlog2x(schmidt_sq, _log2_floor(schmidt_sq)), axis=1)
     return float(np.sum(d.weights * 2.0 * entropies))
 
 
@@ -138,8 +138,9 @@ def _rows_cost_grad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, s, wh = np.linalg.svd(rows, full_matrices=False)
     sq = s * s
     p = sq.sum(axis=-1)
-    cost = 2.0 * (_xlog2x(p) - np.sum(_xlog2x(sq), axis=-1))
-    scale = 2.0 * (_log2_floor(p)[..., None] - _log2_floor(sq)) * s
+    log_p, log_sq = _log2_floor(p), _log2_floor(sq)
+    cost = 2.0 * (_xlog2x(p, log_p) - _xlog2x(sq, log_sq).sum(axis=-1))
+    scale = 2.0 * (log_p[..., None] - log_sq) * s
     return cost, np.einsum("...ij,...j,...jk->...ik", u, scale, wh)
 
 
@@ -170,10 +171,12 @@ def convex_roof(
     eigendecomposition plus 1e-2 times a seeded complex Gaussian matrix,
     drawn after the other restarts' draws, because the eigendecomposition
     is stationary when the spectrum is degenerate; its best iterate starts
-    as the eigendecomposition itself, so the result never exceeds its cost.  All restarts descend as
-    one batch, each stopping after two consecutive iterations that change
-    its cost by less than tol; each keeps its best iterate, and the lowest
-    best wins, lowest restart index breaking ties.
+    as the eigendecomposition itself, so the result never exceeds its cost.
+    All restarts descend as one batch, each stopping after two consecutive
+    iterations that change its cost by less than tol.  A restart that stops
+    leaves the batch, so later iterations work only on the live restarts.
+    Each keeps its best iterate, and the lowest best wins, lowest restart
+    index breaking ties.
 
     The returned value is an upper bound on the convex-roof minimum;
     converged reports whether the winning restart met the stopping rule.
@@ -196,70 +199,77 @@ def convex_roof(
     n_restarts = int(restarts)
     rng = np.random.default_rng(seed)
     mix = np.zeros((n_restarts, m, rank), dtype=complex)
-    for r in range(1, n_restarts):
-        g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-        mix[r], _ = np.linalg.qr(g)
+    # restart r draws its real, then its imaginary part; one stacked QR orthonormalizes them all
+    g = rng.standard_normal((n_restarts - 1, 2, m, rank))
+    mix[1:], _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     # drawn after restarts 1..R-1, whose starts then do not depend on it
     eig = np.eye(m, rank, dtype=complex)
     g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
     mix[0] = _phase_fixed_qr(eig + _START_OFFSET * g)
+    basis_h = basis.conj()
 
     def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # total cost per restart and its gradient d cost / d conj(V)
         cost, grad = _rows_cost_grad(np.einsum("rki,iab->rkab", v, basis))
-        return cost.sum(axis=1), np.einsum("iab,rkab->rki", basis.conj(), grad)
+        return cost.sum(axis=1), np.einsum("iab,rkab->rki", basis_h, grad)
 
     def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sum((a.conj() * b).real, axis=(1, 2))
+        return (a.conj() * b).real.sum(axis=(1, 2))
 
     cost, grad = evaluate(mix)
     best, best_cost = mix.copy(), cost.copy()
     best[0], best_cost[0] = eig, evaluate(eig[None])[0][0]
+    # the search state of the live restarts only, in index order; live maps it to restart indices
+    live, v = np.arange(n_restarts), mix
     # Zhang-Hager reference C_k, a weighted mean of past costs, and its weight Q_k
-    ref, weight = cost.copy(), np.ones(n_restarts)
-    step = np.ones(n_restarts)
+    ref, weight, step = cost.copy(), np.ones(n_restarts), np.ones(n_restarts)
     # s = 0 on the first iteration, so its step falls back to 1
-    prev, prev_xi = mix.copy(), np.zeros_like(mix)
+    prev, prev_xi = mix, np.zeros_like(mix)
     quiet = np.zeros(n_restarts, dtype=int)
-    active = np.arange(n_restarts)
     for it in range(_MAX_ITERATIONS):
-        v = mix[active]
-        vg = v.conj().transpose(0, 2, 1) @ grad[active]
-        xi = grad[active] - v @ ((vg + vg.conj().transpose(0, 2, 1)) / 2.0)
-        ds, dy = v - prev[active], xi - prev_xi[active]
+        vg = v.conj().transpose(0, 2, 1) @ grad
+        xi = grad - v @ ((vg + vg.conj().transpose(0, 2, 1)) / 2.0)
+        ds, dy = v - prev, xi - prev_xi
         with np.errstate(divide="ignore", invalid="ignore"):
             sy = np.abs(inner(ds, dy))
             bb = sy / inner(dy, dy) if it % 2 else inner(ds, ds) / sy
-        t = np.where(np.isfinite(bb) & (bb > 0.0), np.clip(bb, *_BB_RANGE), step[active])
-        prev[active], prev_xi[active] = v, xi
+        clipped = np.minimum(np.maximum(bb, _BB_RANGE[0]), _BB_RANGE[1])
+        t = np.where(np.isfinite(bb) & (bb > 0.0), clipped, step)
+        prev, prev_xi = v, xi
         # cost falls along -xi at rate 2 |xi|^2
         decrease = _ARMIJO * 2.0 * inner(xi, xi)
-        old, bound = cost[active], ref[active]
-        pending = np.arange(active.size)
-        for _ in range(_MAX_HALVINGS):
-            # QR retraction: V - t xi has full column rank
-            cand = _phase_fixed_qr(v[pending] - t[pending, None, None] * xi[pending])
-            cand_cost, cand_grad = evaluate(cand)
-            ok = cand_cost <= bound[pending] - t[pending] * decrease[pending]
-            accepted = active[pending[ok]]
-            mix[accepted] = cand[ok]
-            cost[accepted] = cand_cost[ok]
-            grad[accepted] = cand_grad[ok]
-            step[accepted] = t[pending[ok]]
-            pending = pending[~ok]
-            if pending.size == 0:
+        # QR retraction: V - t xi has full column rank.  Every restart tries its
+        # whole step; only those that fail the Armijo test are halved.
+        new_v = _phase_fixed_qr(v - t[:, None, None] * xi)
+        new, new_grad = evaluate(new_v)
+        fail = np.flatnonzero(~(new <= ref - t * decrease))
+        for _ in range(_MAX_HALVINGS - 1):
+            if fail.size == 0:
                 break
-            t[pending] /= 2.0
-        new = cost[active]
-        better = active[new < best_cost[active]]
-        best[better], best_cost[better] = mix[better], cost[better]
-        weight_next = _NONMONOTONE * weight[active] + 1.0
-        ref[active] = (_NONMONOTONE * weight[active] * bound + new) / weight_next
-        weight[active] = weight_next
-        quiet[active] = np.where(np.abs(old - new) < tol, quiet[active] + 1, 0)
-        active = active[quiet[active] < 2]
-        if active.size == 0:
-            break
+            t[fail] /= 2.0
+            cand = _phase_fixed_qr(v[fail] - t[fail, None, None] * xi[fail])
+            cand_cost, cand_grad = evaluate(cand)
+            ok = cand_cost <= ref[fail] - t[fail] * decrease[fail]
+            done = fail[ok]
+            new_v[done], new[done], new_grad[done] = cand[ok], cand_cost[ok], cand_grad[ok]
+            fail = fail[~ok]
+        else:
+            # a restart that never passed keeps its iterate and its step
+            new_v[fail], new[fail], new_grad[fail], t[fail] = v[fail], cost[fail], grad[fail], step[fail]
+        better = new < best_cost[live]
+        best[live[better]], best_cost[live[better]] = new_v[better], new[better]
+        weight_next = _NONMONOTONE * weight + 1.0
+        ref = (_NONMONOTONE * weight * ref + new) / weight_next
+        quiet[live] = still = np.where(np.abs(cost - new) < tol, quiet[live] + 1, 0)
+        v, cost, grad, step, weight = new_v, new, new_grad, t, weight_next
+        going = still < 2
+        if not going.all():
+            # restarts that met the stopping rule leave the batch
+            if not going.any():
+                break
+            live, v, cost, grad, step, weight, ref, prev, prev_xi = (
+                a[going] for a in (live, v, cost, grad, step, weight, ref, prev, prev_xi)
+            )
 
     winner = int(np.argmin(best_cost))
     converged = bool(quiet[winner] >= 2)

@@ -217,6 +217,187 @@ def steepest_descent_roof(s: BipartiteState, restarts: int, seed: int, tol: floa
     return float(cost.min())
 
 
+def reference_rows_cost_grad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_rows_cost_grad as it was when it took log2 of p and of s^2 twice, once for the cost and once for the gradient."""
+    u, s, wh = np.linalg.svd(rows, full_matrices=False)
+    sq = s * s
+    p = sq.sum(axis=-1)
+
+    def log2_floor(x):
+        return np.log2(np.maximum(x, 1e-300))
+
+    def xlog2x(x):
+        return np.where(x > 0.0, x * log2_floor(x), 0.0)
+
+    cost = 2.0 * (xlog2x(p) - np.sum(xlog2x(sq), axis=-1))
+    scale = 2.0 * (log2_floor(p)[..., None] - log2_floor(sq)) * s
+    return cost, np.einsum("...ij,...j,...jk->...ik", u, scale, wh)
+
+
+def reference_convex_roof(s, m=None, restarts=32, tol=1e-6, seed=0, kernel=reference_rows_cost_grad):
+    """convex_roof as it was when every restart stayed in the batch to the end.
+
+    Each iteration gathers each restart's state through the index array
+    `active` and scatters it back, and every trial step, the first
+    included, goes through the `pending` index array.  The search
+    constants are read from the module, so a test can shorten both loops
+    for this copy and for convex_roof alike.
+    """
+    d_a, d_b = s.dims
+    lam, vecs = np.linalg.eigh(s.joint.matrix)
+    keep = lam > entanglement._RANK_TOL
+    lam, vecs = lam[keep], vecs[:, keep]
+    rank = int(lam.size)
+    if m is None:
+        m = min(rank * rank, 2 * rank)
+    basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
+    n_restarts = int(restarts)
+    rng = np.random.default_rng(seed)
+    mix = np.zeros((n_restarts, m, rank), dtype=complex)
+    for r in range(1, n_restarts):
+        g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        mix[r], _ = np.linalg.qr(g)
+    eig = np.eye(m, rank, dtype=complex)
+    g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    mix[0] = _retract(eig + entanglement._START_OFFSET * g)
+
+    def evaluate(v):
+        cost, grad = kernel(np.einsum("rki,iab->rkab", v, basis))
+        return cost.sum(axis=1), np.einsum("iab,rkab->rki", basis.conj(), grad)
+
+    def inner(a, b):
+        return np.sum((a.conj() * b).real, axis=(1, 2))
+
+    cost, grad = evaluate(mix)
+    best, best_cost = mix.copy(), cost.copy()
+    best[0], best_cost[0] = eig, evaluate(eig[None])[0][0]
+    ref, weight = cost.copy(), np.ones(n_restarts)
+    step = np.ones(n_restarts)
+    prev, prev_xi = mix.copy(), np.zeros_like(mix)
+    quiet = np.zeros(n_restarts, dtype=int)
+    active = np.arange(n_restarts)
+    for it in range(entanglement._MAX_ITERATIONS):
+        v = mix[active]
+        vg = v.conj().transpose(0, 2, 1) @ grad[active]
+        xi = grad[active] - v @ ((vg + vg.conj().transpose(0, 2, 1)) / 2.0)
+        ds, dy = v - prev[active], xi - prev_xi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sy = np.abs(inner(ds, dy))
+            bb = sy / inner(dy, dy) if it % 2 else inner(ds, ds) / sy
+        t = np.where(np.isfinite(bb) & (bb > 0.0), np.clip(bb, *entanglement._BB_RANGE), step[active])
+        prev[active], prev_xi[active] = v, xi
+        decrease = entanglement._ARMIJO * 2.0 * inner(xi, xi)
+        old, bound = cost[active], ref[active]
+        pending = np.arange(active.size)
+        for _ in range(entanglement._MAX_HALVINGS):
+            cand = _retract(v[pending] - t[pending, None, None] * xi[pending])
+            cand_cost, cand_grad = evaluate(cand)
+            ok = cand_cost <= bound[pending] - t[pending] * decrease[pending]
+            accepted = active[pending[ok]]
+            mix[accepted] = cand[ok]
+            cost[accepted] = cand_cost[ok]
+            grad[accepted] = cand_grad[ok]
+            step[accepted] = t[pending[ok]]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            t[pending] /= 2.0
+        new = cost[active]
+        better = active[new < best_cost[active]]
+        best[better], best_cost[better] = mix[better], cost[better]
+        weight_next = entanglement._NONMONOTONE * weight[active] + 1.0
+        ref[active] = (entanglement._NONMONOTONE * weight[active] * bound + new) / weight_next
+        weight[active] = weight_next
+        quiet[active] = np.where(np.abs(old - new) < tol, quiet[active] + 1, 0)
+        active = active[quiet[active] < 2]
+        if active.size == 0:
+            break
+
+    winner = int(np.argmin(best_cost))
+    converged = bool(quiet[winner] >= 2)
+    flat = np.einsum("ki,iab->kab", best[winner], basis).reshape(m, d_a * d_b)
+    weights = np.sum(np.abs(flat) ** 2, axis=1)
+    nonzero = weights > 1e-12
+    flat, weights = flat[nonzero], weights[nonzero]
+    dec = Decomposition(weights / weights.sum(), flat / np.sqrt(weights)[:, None], s.dims)
+    return entanglement.ConvexRoofResult(decomposition_cost(dec), dec, n_restarts, converged)
+
+
+def _random_state_of(dims: tuple[int, int], rank: int) -> BipartiteState:
+    return random_bipartite_state(dims, np.random.default_rng(100 * dims[0] + 10 * dims[1] + rank), rank=rank)
+
+
+REFERENCE_STATES = {
+    **{
+        f"{d_a}x{d_b}-rank{rank}": (d_a, d_b, rank)
+        for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))
+        for rank in range(1, min(d_a * d_b, 5) + 1)
+    },
+    **{f"werner-{p:.3g}": p for p in (0.0, 1 / 3, 0.6, 0.85, 1.0)},
+}
+
+
+def _reference_state(name: str) -> BipartiteState:
+    spec = REFERENCE_STATES[name]
+    return werner_state(spec) if name.startswith("werner") else _random_state_of(spec[:2], spec[2])
+
+
+def assert_same_result(got, want):
+    assert got.value == want.value
+    assert got.converged == want.converged
+    assert got.restarts_used == want.restarts_used
+    assert np.array_equal(got.decomposition.weights, want.decomposition.weights)
+    assert np.array_equal(got.decomposition.vectors, want.decomposition.vectors)
+
+
+class TestBitForBitReference:
+    """convex_roof returns exactly what reference_convex_roof returns, bit for bit."""
+
+    def test_kernel_matches_reference(self):
+        rng = np.random.default_rng(31)
+        rows = _complex_gaussian(rng, 5, 7, 3, 4)
+        # rank-deficient and zero rows take the log2 floor
+        rows[0, 1] = np.outer(rows[0, 1, :, 0], rows[0, 1, 0, :])
+        rows[1, 2] = 0.0
+        for got, want in zip(_rows_cost_grad(rows), reference_rows_cost_grad(rows)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("restarts", [1, 4, 9])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_STATES))
+    def test_matches_reference(self, name, restarts):
+        s = _reference_state(name)
+        for seed in range(3):
+            assert_same_result(convex_roof(s, restarts=restarts, seed=seed),
+                               reference_convex_roof(s, restarts=restarts, seed=seed))
+
+    @pytest.mark.parametrize("halvings, iterations", [(1, 2000), (2, 2000), (40, 3)])
+    def test_matches_reference_on_cut_loops(self, monkeypatch, halvings, iterations):
+        # with few halvings some restarts keep their iterate; with few iterations none converges
+        monkeypatch.setattr(entanglement, "_MAX_HALVINGS", halvings)
+        monkeypatch.setattr(entanglement, "_MAX_ITERATIONS", iterations)
+        for name in ("2x3-rank4", "3x3-rank5", "werner-0.85"):
+            s = _reference_state(name)
+            assert_same_result(convex_roof(s, restarts=9, seed=1), reference_convex_roof(s, restarts=9, seed=1))
+
+    @pytest.mark.parametrize("name, restarts", [("werner-0.85", 4), ("2x3-rank2", 9), ("3x3-rank5", 9)])
+    def test_same_row_shapes_as_reference(self, monkeypatch, name, restarts):
+        s = _reference_state(name)
+        shapes, reference_shapes = [], []
+
+        def counted(rows):
+            shapes.append(rows.shape)
+            return _rows_cost_grad(rows)
+
+        def counted_reference(rows):
+            reference_shapes.append(rows.shape)
+            return reference_rows_cost_grad(rows)
+
+        monkeypatch.setattr(entanglement, "_rows_cost_grad", counted)
+        convex_roof(s, restarts=restarts, seed=0)
+        reference_convex_roof(s, restarts=restarts, seed=0, kernel=counted_reference)
+        assert shapes == reference_shapes
+
+
 class TestConvexRoof:
     def test_pure_bell_state(self):
         res = convex_roof(bell_state(), restarts=4, seed=0)

@@ -218,7 +218,8 @@ def steepest_descent_roof(s: BipartiteState, restarts: int, seed: int, tol: floa
 
 
 def reference_rows_cost_grad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_rows_cost_grad as it was when it took log2 of p and of s^2 twice, once for the cost and once for the gradient."""
+    """_rows_cost_grad as it was when it took log2 of p and of s^2 twice,
+    once for the cost and once for the gradient."""
     u, s, wh = np.linalg.svd(rows, full_matrices=False)
     sq = s * s
     p = sq.sum(axis=-1)
@@ -235,10 +236,10 @@ def reference_rows_cost_grad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_convex_roof(s, m=None, restarts=32, tol=1e-6, seed=0, kernel=reference_rows_cost_grad):
-    """convex_roof as it was when every restart stayed in the batch to the end.
+    """convex_roof as it was when its search state stayed full size.
 
-    Each iteration gathers each restart's state through the index array
-    `active` and scatters it back, and every trial step, the first
+    Each iteration gathers the running restarts' state through the index
+    array `active` and scatters it back, and every trial step, the first
     included, goes through the `pending` index array.  The search
     constants are read from the module, so a test can shorten both loops
     for this copy and for convex_roof alike.
@@ -323,23 +324,16 @@ def reference_convex_roof(s, m=None, restarts=32, tol=1e-6, seed=0, kernel=refer
     return entanglement.ConvexRoofResult(decomposition_cost(dec), dec, n_restarts, converged)
 
 
-def _random_state_of(dims: tuple[int, int], rank: int) -> BipartiteState:
-    return random_bipartite_state(dims, np.random.default_rng(100 * dims[0] + 10 * dims[1] + rank), rank=rank)
-
-
 REFERENCE_STATES = {
     **{
-        f"{d_a}x{d_b}-rank{rank}": (d_a, d_b, rank)
+        f"{d_a}x{d_b}-rank{rank}": random_bipartite_state(
+            (d_a, d_b), np.random.default_rng(100 * d_a + 10 * d_b + rank), rank=rank
+        )
         for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))
         for rank in range(1, min(d_a * d_b, 5) + 1)
     },
-    **{f"werner-{p:.3g}": p for p in (0.0, 1 / 3, 0.6, 0.85, 1.0)},
+    **{f"werner-{p:.3g}": werner_state(p) for p in (0.0, 1 / 3, 0.6, 0.85, 1.0)},
 }
-
-
-def _reference_state(name: str) -> BipartiteState:
-    spec = REFERENCE_STATES[name]
-    return werner_state(spec) if name.startswith("werner") else _random_state_of(spec[:2], spec[2])
 
 
 def assert_same_result(got, want):
@@ -365,7 +359,7 @@ class TestBitForBitReference:
     @pytest.mark.parametrize("restarts", [1, 4, 9])
     @pytest.mark.parametrize("name", sorted(REFERENCE_STATES))
     def test_matches_reference(self, name, restarts):
-        s = _reference_state(name)
+        s = REFERENCE_STATES[name]
         for seed in range(3):
             assert_same_result(convex_roof(s, restarts=restarts, seed=seed),
                                reference_convex_roof(s, restarts=restarts, seed=seed))
@@ -376,12 +370,12 @@ class TestBitForBitReference:
         monkeypatch.setattr(entanglement, "_MAX_HALVINGS", halvings)
         monkeypatch.setattr(entanglement, "_MAX_ITERATIONS", iterations)
         for name in ("2x3-rank4", "3x3-rank5", "werner-0.85"):
-            s = _reference_state(name)
+            s = REFERENCE_STATES[name]
             assert_same_result(convex_roof(s, restarts=9, seed=1), reference_convex_roof(s, restarts=9, seed=1))
 
     @pytest.mark.parametrize("name, restarts", [("werner-0.85", 4), ("2x3-rank2", 9), ("3x3-rank5", 9)])
     def test_same_row_shapes_as_reference(self, monkeypatch, name, restarts):
-        s = _reference_state(name)
+        s = REFERENCE_STATES[name]
         shapes, reference_shapes = [], []
 
         def counted(rows):

@@ -7,7 +7,7 @@ the release that draws the count table as one multinomial, `verify_d4` by
 the release before the one-pass JSON emitter,
 `entanglement_werner_085` by the release that gave the convex roof its
 Barzilai-Borwein steps, `entanglement_2x3_restarts9` by the release
-before the search kept only its live restarts in the batch, and the
+before the search held its state for the running restarts only, and the
 `*_csv` files of single commands and `bloch_z*` by the release before
 the standard library's JSON encoder replaced the hand-written one, so a change to the numerics or the
 formatting of these commands shows here as a byte diff.

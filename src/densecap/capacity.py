@@ -69,20 +69,11 @@ class CapacityReport:
         }
 
 
-def _lift_operands(lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two forms of a stack of n unitaries U_a (..., n, D, D) that
-    _averaged_states multiplies by: U as (..., j, (a i)), and conj(U) with
-    its last two axes swapped (a view)."""
-    n, dim = lifts.shape[-3:-1]
-    by_column = np.moveaxis(lifts, -1, -3).reshape(*lifts.shape[:-3], dim, n * dim)
-    return by_column, np.swapaxes(lifts.conj(), -1, -2)
-
-
-def _averaged_states(prior: np.ndarray, lifts: tuple[np.ndarray, np.ndarray], joints: np.ndarray) -> np.ndarray:
+def _averaged_states(prior: np.ndarray, unitaries: np.ndarray, joints: np.ndarray) -> np.ndarray:
     """sum_a prior_a U_a rho U_a^dag for every rho in a stack (s, D, D).
 
-    lifts is _lift_operands of one ensemble shared by every state, or of
-    one ensemble per state.  These are the three products that
+    unitaries is one ensemble (n, D, D) shared by every state, or one
+    ensemble per state (s, n, D, D).  These are the three products that
     np.einsum("a,aij,jk,alk->il", prior, U, rho, U.conj(), optimize=True)
     runs for one state, in its order and on operands of its layouts, with
     the states as a batch axis: every average is bit-identical to that
@@ -92,8 +83,10 @@ def _averaged_states(prior: np.ndarray, lifts: tuple[np.ndarray, np.ndarray], jo
     each (one state at least): a whole 256-state block would take 3 MB per
     intermediate at d = 3 and 190 MB at d = 6.
     """
-    by_column, conj_t = lifts
-    dim, n = joints.shape[-1], len(prior)
+    n, dim = unitaries.shape[-3:-1]
+    # U as (..., j, (a i)), and conj(U) with its last two axes swapped (a view)
+    by_column = np.moveaxis(unitaries, -1, -3).reshape(*unitaries.shape[:-3], dim, n * dim)
+    conj_t = np.swapaxes(unitaries.conj(), -1, -2)
     chunk = max(1, _AVERAGE_CHUNK_BYTES // (16 * n * dim * dim))
     out = np.empty_like(joints)
     for start in range(0, len(joints), chunk):
@@ -112,7 +105,7 @@ def average_state(e: EncodingEnsemble, rho: DensityMatrix) -> DensityMatrix:
     """Prior-weighted average sum_a pi_a U_a rho U_a^dag."""
     if e.dim != rho.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} != state dim {rho.dim}")
-    return DensityMatrix(_averaged_states(e.prior, _lift_operands(e.unitaries), rho.matrix[None])[0])
+    return DensityMatrix(_averaged_states(e.prior, e.unitaries, rho.matrix[None])[0])
 
 
 def holevo_chi(e: EncodingEnsemble, rho: DensityMatrix) -> float:

@@ -24,13 +24,12 @@ import numpy as np
 from . import capacity as cap
 from . import entanglement as ent
 from . import protosim as sim
-from .capacity import _averaged_states, _capacity_row, _lift_operands, _stack_columns
+from .capacity import _averaged_states, _capacity_row, _stack_columns
 from .encodings import (
     OrthonormalFrame,
     _qubit_set_stack,
     canonical_qubit_set,
     ensemble_from_json,
-    gellmann_basis,
     lift_ensemble,
     verify_orthogonality,
     weyl_set,
@@ -45,12 +44,13 @@ from .qstate import (
     _reconstruct_arrays,
     _validated_spectra,
     from_bloch,
+    gellmann_basis,
     max_entangled_state,
     state_from_json,
     werner_matrices,
     werner_state,
 )
-from .sampling import _frame_rows, _ginibre_states
+from .sampling import _frame_rows, _random_states
 
 
 # caps on sizes that a command line sets, checked before anything is allocated
@@ -304,12 +304,6 @@ def _gaussian_blocks(rng: np.random.Generator, samples: int, width: int):
         yield rng.standard_normal((min(VERIFY_BLOCK, samples - start), width))
 
 
-def _random_states(draws: np.ndarray, d: int) -> np.ndarray:
-    """random_density_matrix(d) of each row of draws, unvalidated."""
-    g = draws[:, : d * d] + 1j * draws[:, d * d : 2 * d * d]
-    return _ginibre_states(g.reshape(-1, d, d))
-
-
 def _max_norm(diffs: np.ndarray) -> float:
     """Largest Frobenius norm in a stack (s, n, n) of complex matrices.
 
@@ -372,14 +366,14 @@ def cmd_verify(args) -> int:
         # the sender's ensemble: for d = 2 a random frame's qubit set, drawn after each state
         prior = np.full(4, 0.25) if d == 2 else weyl.prior
         if d > 2:  # one Weyl lift, shared by every sample
-            lifts = _lift_operands(lift_ensemble(weyl, d).unitaries)
+            lifts = lift_ensemble(weyl, d).unitaries
         for draws in _gaussian_blocks(rng, args.samples, 2 * dd * dd + (9 if d == 2 else 0)):
             joints = _random_states(draws, dd)
             cols, reduced_a, reduced_b = _stack_columns(joints, _validated_spectra(joints), (d, d))
 
             if d == 2:
                 frames = _frame_rows(draws[:, 2 * dd * dd :].reshape(-1, 3, 3))
-                lifts = _lift_operands(_kron(_qubit_set_stack(frames), np.eye(2, dtype=complex)))
+                lifts = _kron(_qubit_set_stack(frames), np.eye(2, dtype=complex))
             avg = _averaged_states(prior, lifts, joints)
             _validated_spectra(avg)
             averaged = _max_norm(avg - _kron(np.eye(d) / d, reduced_b))

@@ -1,20 +1,24 @@
-"""Encoding unitary families and operator bases.
+"""Encoding unitary families.
 
-Builds the antipodal pair, the frame-generated four-unitary qubit set,
-the generalized traceless Hermitian operator basis, and the d^2
-shift/clock unitaries, together with their trace-orthogonality checks.
+Builds the antipodal pair, the frame-generated four-unitary qubit set and
+the d^2 shift/clock unitaries, with their trace-orthogonality checks, and
+lifts an ensemble to one side of a bipartite space.  The traceless
+Hermitian operator basis (OperatorBasis, gellmann_basis) lives in qstate,
+next to the correlation tensor it expands; it is re-exported here.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, FrameNotOrthonormal, InvalidDimension, InvalidEnsemble, ParseError
-from .qstate import PAULI_X, PAULI_Y, PAULI_Z, PAULIS, BlochVector, _is_distribution, _kron, _re_im, _stack_of
+from .qstate import (  # OperatorBasis and gellmann_basis are re-exported
+    PAULI_X, PAULI_Y, PAULI_Z, PAULIS, BlochVector, OperatorBasis, _is_distribution, _kron, _re_im, _stack_of,
+    gellmann_basis,
+)
 
 FRAME_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -90,32 +94,6 @@ class EncodingEnsemble:
         return len(self.unitaries)
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorBasis:
-    """Hermitian traceless L_a = lambdas[a], one read-only (d^2 - 1, d, d) array, Tr L_a L_b = d delta_ab."""
-
-    dim: int
-    lambdas: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = int(self.dim)
-        object.__setattr__(self, "dim", d)
-        lams = _stack_of(self.lambdas, (d, d), ValueError, "basis element")
-        if len(lams) != d * d - 1:
-            raise ValueError(f"basis needs d^2 - 1 = {d * d - 1} elements, got {len(lams)}")
-        traceless = np.abs(np.trace(lams, axis1=1, axis2=2)) <= 1e-12
-        hermitian = np.abs(lams - lams.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12
-        bad = np.flatnonzero(~(traceless & hermitian))
-        if bad.size:
-            a = bad[0]
-            raise ValueError(f"basis element {a} is not {'Hermitian' if traceless[a] else 'traceless'}")
-        gram = np.einsum("aij,bji->ab", lams, lams)
-        if not np.max(np.abs(gram - d * np.eye(len(lams)))) <= 1e-12:
-            raise ValueError("basis fails Tr L_a L_b = d delta_ab within 1e-12")
-        lams.setflags(write=False)
-        object.__setattr__(self, "lambdas", lams)
-
-
 def canonical_qubit_set(frame: OrthonormalFrame) -> EncodingEnsemble:
     """The four-unitary qubit encoding {1, n1.sigma, n2.sigma, n3.sigma}.
 
@@ -154,39 +132,6 @@ def antipodal_pair(v: BlochVector | tuple[float, float, float]) -> EncodingEnsem
         axis = axis / np.linalg.norm(axis)
         u = axis[0] * PAULIS[0] + axis[1] * PAULIS[1] + axis[2] * PAULIS[2]
     return EncodingEnsemble(2, (np.eye(2, dtype=complex), u), np.array([0.5, 0.5]))
-
-
-@functools.lru_cache(maxsize=16)
-def gellmann_basis(d: int) -> OperatorBasis:
-    """Generalized traceless Hermitian basis rescaled to Tr L_a L_b = d delta_ab.
-
-    Ordering: symmetric pairs (j < k) lexicographic, then antisymmetric
-    pairs, then diagonal operators.  d = 2 reproduces the Pauli matrices
-    in the order (x, y, z).  Cached: repeated calls return the same
-    immutable basis.
-    """
-    if d < 2:
-        raise InvalidDimension(f"need d >= 2, got {d}")
-    scale = math.sqrt(d / 2.0)
-    mats: list[np.ndarray] = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(scale * m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(scale * m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -l
-        mats.append(scale * math.sqrt(2.0 / (l * (l + 1))) * m)
-    return OperatorBasis(d, mats)
 
 
 @functools.lru_cache(maxsize=16)

@@ -2,8 +2,10 @@
 
 Construction and validation of density matrices, Bloch-vector
 parameterization of qubits, tensor products, partial traces, von Neumann
-entropy, and the correlation-tensor decomposition of bipartite states.
-All operations are pure functions on immutable values.
+entropy, and the correlation-tensor decomposition of bipartite states in
+the generalized traceless Hermitian operator basis, which this module
+owns (OperatorBasis, gellmann_basis; encodings re-exports both).  All
+operations are pure functions on immutable values.
 """
 
 from __future__ import annotations
@@ -304,11 +306,63 @@ def _re_im(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _bases(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
-    # imported here: encodings depends on qstate for BlochVector
-    from .encodings import gellmann_basis
+@dataclass(frozen=True, eq=False)
+class OperatorBasis:
+    """Hermitian traceless L_a = lambdas[a], one read-only (d^2 - 1, d, d) array, Tr L_a L_b = d delta_ab."""
 
-    return gellmann_basis(d_a).lambdas, gellmann_basis(d_b).lambdas
+    dim: int
+    lambdas: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = int(self.dim)
+        object.__setattr__(self, "dim", d)
+        lams = _stack_of(self.lambdas, (d, d), ValueError, "basis element")
+        if len(lams) != d * d - 1:
+            raise ValueError(f"basis needs d^2 - 1 = {d * d - 1} elements, got {len(lams)}")
+        traceless = np.abs(np.trace(lams, axis1=1, axis2=2)) <= 1e-12
+        hermitian = np.abs(lams - lams.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12
+        bad = np.flatnonzero(~(traceless & hermitian))
+        if bad.size:
+            a = bad[0]
+            raise ValueError(f"basis element {a} is not {'Hermitian' if traceless[a] else 'traceless'}")
+        gram = np.einsum("aij,bji->ab", lams, lams)
+        if not np.max(np.abs(gram - d * np.eye(len(lams)))) <= 1e-12:
+            raise ValueError("basis fails Tr L_a L_b = d delta_ab within 1e-12")
+        lams.setflags(write=False)
+        object.__setattr__(self, "lambdas", lams)
+
+
+@lru_cache(maxsize=16)
+def gellmann_basis(d: int) -> OperatorBasis:
+    """Generalized traceless Hermitian basis rescaled to Tr L_a L_b = d delta_ab.
+
+    Ordering: symmetric pairs (j < k) lexicographic, then antisymmetric
+    pairs, then diagonal operators.  d = 2 reproduces the Pauli matrices
+    in the order (x, y, z).  Cached: repeated calls return the same
+    immutable basis.
+    """
+    if d < 2:
+        raise InvalidDimension(f"need d >= 2, got {d}")
+    scale = math.sqrt(d / 2.0)
+    mats: list[np.ndarray] = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = 1.0
+            m[k, j] = 1.0
+            mats.append(scale * m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            mats.append(scale * m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -l
+        mats.append(scale * math.sqrt(2.0 / (l * (l + 1))) * m)
+    return OperatorBasis(d, mats)
 
 
 def _ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +394,7 @@ def _term_tables(d_a: int, d_b: int) -> tuple[list, list]:
     index of (i, k, j, l), that of gamma[c, d], (L_c)_ij and (L_d)_kl, in (c, d)
     order.  These are einsum's loop orders, so the sparse sums keep its bits.
     """
-    basis_a, basis_b = _bases(d_a, d_b)
+    basis_a, basis_b = gellmann_basis(d_a).lambdas, gellmann_basis(d_b).lambdas
     c, i, j = (x[:, None] for x in np.nonzero(basis_a))
     d, k, l = np.nonzero(basis_b)
     l_c, l_d = basis_a[c, i, j], basis_b[d, k, l]

@@ -7,11 +7,11 @@ import pytest
 
 from densecap import capacity as cap
 from densecap import ensemble_to_json, state_to_json, werner_state
-from densecap.capacity import _averaged_states, _lift_operands
-from densecap.cli import _MODE_ONLY, _random_states, load_state, main
+from densecap.capacity import _averaged_states
+from densecap.cli import _MODE_ONLY, load_state, main
 from densecap.encodings import EncodingEnsemble, _qubit_set_stack, weyl_set
 from densecap.qstate import PAULI_X, _kron
-from densecap.sampling import _frame_rows
+from densecap.sampling import _frame_rows, _random_states
 
 # the 6x6 state of the cross_check_2x3 golden file
 STATE_2X3 = str(Path(__file__).parent / "data" / "golden" / "state_2x3.json")
@@ -319,7 +319,7 @@ class TestAveragedStates:
         lift = _kron(np.stack(weyl.unitaries), np.eye(d, dtype=complex))
         joints = self.states(np.random.default_rng([d, samples]), samples, d * d)
         expected = per_sample_averages(weyl.prior, np.broadcast_to(lift, (samples, *lift.shape)), joints)
-        assert np.array_equal(_averaged_states(weyl.prior, _lift_operands(lift), joints), expected)
+        assert np.array_equal(_averaged_states(weyl.prior, lift, joints), expected)
 
     @pytest.mark.parametrize("samples", [1, 7, 256])
     def test_per_sample_frame_lifts(self, samples):
@@ -329,7 +329,19 @@ class TestAveragedStates:
         lifts = _kron(_qubit_set_stack(frames), np.eye(2, dtype=complex))
         prior = np.full(4, 0.25)
         expected = per_sample_averages(prior, lifts, joints)
-        assert np.array_equal(_averaged_states(prior, _lift_operands(lifts), joints), expected)
+        assert np.array_equal(_averaged_states(prior, lifts, joints), expected)
+
+
+class TestRandomStates:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_match_random_density_matrix(self, d):
+        from densecap.sampling import random_density_matrix
+
+        for rank in range(1, d + 1):
+            rng = np.random.default_rng([d, rank])
+            expected = np.stack([random_density_matrix(d, rng, rank=rank).matrix for _ in range(3)])
+            rng = np.random.default_rng([d, rank])
+            assert np.array_equal(_random_states(rng.standard_normal((3, 2 * d * rank)), d, rank), expected)
 
 
 class TestSimulateCommand:

@@ -30,14 +30,13 @@ from densecap import (
     von_neumann_entropy,
     werner_state,
 )
-from densecap.encodings import gellmann_basis
 from densecap.qstate import (
-    _bases,
     _gamma_arrays,
     _kron,
     _partial_trace_array,
     _reconstruct_arrays,
     _term_tables,
+    gellmann_basis,
 )
 from densecap.sampling import (
     random_bipartite_state,
@@ -354,17 +353,17 @@ class TestSparseCorrelationKernels:
 
         built = []
 
-        def counted(d_a, d_b):
-            built.append((d_a, d_b))
-            return _bases(d_a, d_b)
+        def counted(d):
+            built.append(d)
+            return gellmann_basis(d)
 
-        monkeypatch.setattr(qstate, "_bases", counted)
+        monkeypatch.setattr(qstate, "gellmann_basis", counted)
         _term_tables.cache_clear()
         rng = np.random.default_rng(3)
         for _ in range(3):
             s = random_bipartite_state((3, 4), rng)
             correlation_reconstruct(s)
-        assert built == [(3, 4)]
+        assert built == [3, 4]
 
 
 class TestNamedStates:

@@ -26,6 +26,7 @@ from . import entanglement as ent
 from . import protosim as sim
 from .capacity import _averaged_states, _capacity_row, _stack_columns
 from .encodings import (
+    EncodingEnsemble,
     OrthonormalFrame,
     _qubit_set_stack,
     canonical_qubit_set,
@@ -190,19 +191,30 @@ def load_state(spec: str) -> DensityMatrix | BipartiteState:
 
 
 def _as_bipartite(state, dims_flag: str | None) -> BipartiteState:
+    """state split by --dims, else as its file splits it, else into two equal factors, none above MAX_DIM."""
+    joint = state.joint if isinstance(state, BipartiteState) else state
     if dims_flag:
         try:
             d_a, d_b = (int(part) for part in dims_flag.split(","))
         except ValueError:  # a part that is not an integer, or not two parts
             raise ParseError(f"--dims needs two integers, got {dims_flag!r}") from None
-        joint = state.joint if isinstance(state, BipartiteState) else state
-        return BipartiteState(joint, (d_a, d_b))
-    if isinstance(state, BipartiteState):
-        return state
-    root = math.isqrt(state.dim)
-    if root * root != state.dim:
-        raise InvalidState(f"cannot infer a bipartite split of dimension {state.dim}; pass --dims")
-    return BipartiteState(state, (root, root))
+    elif isinstance(state, BipartiteState):
+        d_a, d_b = state.dims
+    else:
+        d_a = d_b = math.isqrt(state.dim)
+        if d_a * d_b != state.dim:
+            raise InvalidState(f"cannot infer a bipartite split of dimension {state.dim}; pass --dims")
+    if max(d_a, d_b) > MAX_DIM:
+        raise ParseError(f"split {d_a},{d_b} exceeds the largest dimension, {MAX_DIM}")
+    return BipartiteState(joint, (d_a, d_b))
+
+
+def _load_ensemble(path: str) -> EncodingEnsemble:
+    """The ensemble of a JSON file, of dimension at most MAX_DIM."""
+    e = ensemble_from_json(_load_json(path))
+    if e.dim > MAX_DIM:
+        raise ParseError(f"ensemble dimension {e.dim} exceeds the largest dimension, {MAX_DIM}")
+    return e
 
 
 def _parse_sweep(spec: str) -> tuple[float, float, int]:
@@ -341,7 +353,7 @@ def cmd_verify(args) -> int:
         checks.append({"check": name, "max_residual": residual, "tolerance": tolerance, "pass": residual < tolerance})
 
     if args.ensemble:
-        e = ensemble_from_json(_load_json(args.ensemble))
+        e = _load_ensemble(args.ensemble)
         d = e.dim
         gram, _ = verify_orthogonality(e)
         record("ensemble_gram", float(np.max(np.abs(gram - np.eye(len(e))))), 1e-10)
@@ -407,7 +419,7 @@ def cmd_simulate(args) -> int:
     if args.protocol == "quantum":
         s = _as_bipartite(load_state(args.state), args.dims)
         if args.ensemble:
-            e = ensemble_from_json(_load_json(args.ensemble))
+            e = _load_ensemble(args.ensemble)
         elif s.dim_a == 2:
             e = canonical_qubit_set(OrthonormalFrame.standard())
         else:

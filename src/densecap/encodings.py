@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, FrameNotOrthonormal, InvalidDimension, InvalidEnsemble, ParseError
 from .qstate import (  # OperatorBasis and gellmann_basis are re-exported
-    PAULI_X, PAULI_Y, PAULI_Z, PAULIS, BlochVector, OperatorBasis, _is_distribution, _kron, _re_im, _stack_of,
-    gellmann_basis,
+    PAULI_X, PAULI_Y, PAULI_Z, PAULIS, BlochVector, OperatorBasis, _is_distribution, _json_dim, _json_floats, _kron,
+    _re_im, _stack_of, gellmann_basis,
 )
 
 FRAME_TOL = 1e-12
@@ -190,14 +190,16 @@ def ensemble_to_json(e: EncodingEnsemble) -> dict:
 def ensemble_from_json(obj: dict) -> EncodingEnsemble:
     if not isinstance(obj, dict) or "dim" not in obj or "unitaries" not in obj:
         raise ParseError("ensemble JSON needs 'dim' and 'unitaries'")
+    d = _json_dim(obj["dim"])
     try:
-        d = int(obj["dim"])
-        arr = np.asarray(obj["unitaries"], dtype=float)
+        arr = _json_floats(obj["unitaries"])
         if arr.shape[1:] != (d, d, 2):  # an empty list has shape (0,)
             raise ParseError(f"ensemble JSON needs a non-empty list of {d}x{d} unitaries, got shape {arr.shape}")
         us = arr[..., 0] + 1j * arr[..., 1]
         prior = obj.get("prior")
-        p = np.full(len(us), 1.0 / len(us)) if prior is None else np.asarray(prior, dtype=float)
+        p = np.full(len(us), 1.0 / len(us)) if prior is None else _json_floats(prior)
+        if p.ndim != 1:
+            raise ParseError(f"ensemble JSON needs a flat list of prior weights, got shape {p.shape}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad ensemble JSON: {exc}") from None
     return EncodingEnsemble(d, us, p)

@@ -11,6 +11,7 @@ operations are pure functions on immutable values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
@@ -496,8 +497,25 @@ def max_entangled_state(d: int) -> BipartiteState:
     return BipartiteState.from_pure(vec, (d, d))
 
 
+def _json_dim(value) -> int:
+    """A JSON "dim" as an int; ParseError unless it is a whole number (true is not one)."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ParseError(f"dim must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _json_floats(value) -> np.ndarray:
+    """A JSON number, or lists of them nested, as a float array; ParseError for a boolean,
+    which np.asarray would read as 0 or 1."""
+    entries = np.asarray(value, dtype=object)
+    if bool in set(map(type, entries.flat)):
+        raise ParseError("a boolean is not a number")
+    return entries.astype(float)
+
+
 def _matrix_from_json(entries, dim: int) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    arr = _json_floats(entries)
     if arr.shape != (dim, dim, 2):
         raise ParseError(f"matrix shape {arr.shape} does not match dim {dim}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -527,12 +545,12 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
         if not isinstance(comps, (list, tuple)) or len(comps) != 3:
             raise ParseError("bloch form needs three components")
         try:
-            return from_bloch(tuple(float(c) for c in comps))
+            return from_bloch(tuple(_json_floats(comps).tolist()))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad bloch components: {exc}") from None
     if "dim" in obj and "matrix" in obj:
+        dim = _json_dim(obj["dim"])
         try:
-            dim = int(obj["dim"])
             m = _matrix_from_json(obj["matrix"], dim)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad matrix entries: {exc}") from None

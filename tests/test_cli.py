@@ -17,6 +17,36 @@ from densecap.sampling import _frame_rows, _random_states
 STATE_2X3 = str(Path(__file__).parent / "data" / "golden" / "state_2x3.json")
 
 
+def mixed_state_json(dim: int, declared=None) -> dict:
+    """The maximally mixed state of dimension dim in the JSON form, with "dim": declared if given."""
+    m = np.eye(dim) / dim
+    return {"dim": dim if declared is None else declared, "matrix": np.stack([m, 0 * m], -1).tolist()}
+
+
+def identity_ensemble_json(dim: int, declared=None) -> dict:
+    """The one-unitary ensemble {1} of dimension dim in the JSON form, with "dim": declared if given."""
+    u = np.eye(dim)
+    return {"dim": dim if declared is None else declared, "unitaries": [np.stack([u, 0 * u], -1).tolist()]}
+
+
+# small input files of the size tests, by the word that names each in an argv
+SIZE_FILES = {
+    "@mixed20": mixed_state_json(20),
+    "@mixed22": mixed_state_json(22),
+    "@ensemble11": identity_ensemble_json(11),
+    "@dim4.9": mixed_state_json(4, 4.9),
+    "@dim2.7": mixed_state_json(2, 2.7),
+    "@ensemble-dim2.7": identity_ensemble_json(2, 2.7),
+}
+
+
+def with_size_files(tmp_path, argv: list[str]) -> list[str]:
+    """argv with each word of SIZE_FILES replaced by the path of a file that holds its JSON."""
+    for word in set(argv) & set(SIZE_FILES):
+        (tmp_path / f"{word[1:]}.json").write_text(json.dumps(SIZE_FILES[word]))
+    return [str(tmp_path / f"{word[1:]}.json") if word in SIZE_FILES else word for word in argv]
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -585,10 +615,20 @@ class TestErrorPaths:
             (["entanglement", "--state", "werner:0.8", "--m", "100000000"], "ent.convex_roof"),
             (["entanglement", "--state", "werner:0.8", "--m", "0"], "ent.convex_roof"),
             (["entanglement", "--state", "werner:0.8", "--m", "-3"], "ent.convex_roof"),
+            (["capacity", "--state", "@mixed22", "--dims", "11,2", "--cross-check"], "_capacity_row"),
+            (["entanglement", "--state", "@mixed22", "--dims", "11,2"], "ent.convex_roof"),
+            (["simulate", "--state", "@mixed22", "--dims", "11,2"], "weyl_set"),
+            (["verify", "--ensemble", "@ensemble11"], "verify_orthogonality"),
+            (["simulate", "--ensemble", "@ensemble11"], "sim.run_quantum_dense"),
+            (["capacity", "--state", "@dim4.9"], "_capacity_row"),
+            (["capacity", "--state", "@dim2.7"], "cap.normal_capacity"),
+            (["verify", "--ensemble", "@ensemble-dim2.7"], "verify_orthogonality"),
         ],
     )
-    def test_size_caps_exit_3_before_allocation(self, capsys, monkeypatch, argv, stage):
+    def test_size_caps_exit_3_before_allocation(self, capsys, monkeypatch, tmp_path, argv, stage):
         import densecap.cli as cli
+
+        argv = with_size_files(tmp_path, argv)
 
         def no_alloc(*args, **kwargs):
             raise AssertionError(f"{stage} reached")
@@ -600,11 +640,31 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    def test_largest_sizes_accepted(self, capsys):
+    def test_largest_sizes_accepted(self, capsys, tmp_path):
         from densecap.cli import MAX_DIM
 
         assert main(["capacity", "--state", f"max-entangled:{MAX_DIM}"]) == 0
         assert main(["entanglement", "--state", "werner:0.8", "--m", "16", "--restarts", "2"]) == 0
+        assert main(with_size_files(tmp_path, ["capacity", "--state", "@mixed20", "--dims", "10,2"])) == 0
+
+    # np.asarray reads true as 1 and false as 0, but none of these is a state (dims like 4.9: size-cap rows)
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"bloch": [True, 0, 0]},
+            {"tensor": {"a": {"bloch": [0, 0, 1]}, "b": {"bloch": [0, False, 1]}}},
+            {"dim": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]},
+            mixed_state_json(1, True),
+        ],
+        ids=["bloch-true", "tensor-false", "matrix-true", "dim-true"],
+    )
+    def test_boolean_in_state_file_exit_3(self, capsys, tmp_path, state):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        assert main(["capacity", "--state", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize(
@@ -617,8 +677,14 @@ class TestErrorPaths:
             ({"dim": 2, "unitaries": []}, 3),
             ({"dim": float("inf"), "unitaries": [[[[1, 0]]]]}, 3),
             ({"dim": 1, "unitaries": [[[[1, 0]]]]}, 4),
+            (identity_ensemble_json(2, 2.7), 3),
+            ({**identity_ensemble_json(2), "prior": [True]}, 3),
+            ({"dim": 2, "unitaries": identity_ensemble_json(2)["unitaries"] * 4, "prior": [[0.25, 0.25]] * 2}, 3),
         ],
-        ids=["non-unitary", "prior-length", "nan-prior", "negative-prior", "empty", "infinite-dim", "dim-1"],
+        ids=[
+            "non-unitary", "prior-length", "nan-prior", "negative-prior", "empty", "infinite-dim", "dim-1",
+            "dim-2.7", "boolean-prior", "nested-prior",
+        ],
     )
     def test_bad_ensemble_one_line_error(self, capsys, tmp_path, command, ensemble, code):
         path = tmp_path / "ensemble.json"
@@ -778,8 +844,16 @@ class TestFlagTable:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, capsys):
-        argv = ["simulate", "--protocol", "quantum", "--trials", "5000", "--seed", "9"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--protocol", "quantum", "--trials", "5000", "--seed", "9"],
+            ["verify", "--d", "3", "--samples", "300"],
+            ["entanglement", "--state", "werner:0.85", "--restarts", "4"],
+        ],
+        ids=["simulate", "verify", "entanglement"],
+    )
+    def test_byte_identical_reruns(self, capsys, argv):
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first == second

@@ -350,3 +350,18 @@ class TestEnsemble:
             ensemble_from_json({"dim": 2, "unitaries": [[[1, 0], [0, 1]]]})
         with pytest.raises(ParseError):
             ensemble_from_json({"dim": 2, "unitaries": []})
+
+    # int() truncates 2.5 to 2, np.asarray reads true as 1 and reshape flattens a nested prior: none is an ensemble
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dim": 2.5},
+            {"dim": True, "unitaries": [[[[1, 0]]]]},
+            {"prior": [[0.25, 0.25], [0.25, 0.25]]},
+            {"prior": [True, False, False, False]},
+        ],
+        ids=["dim-2.5", "dim-true", "nested-prior", "boolean-prior"],
+    )
+    def test_json_non_numbers_rejected(self, change):
+        with pytest.raises(ParseError):
+            ensemble_from_json({**ensemble_to_json(weyl_set(2)), **change})

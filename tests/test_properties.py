@@ -23,7 +23,7 @@ from densecap import (  # noqa: E402
     von_neumann_entropy,
     weyl_set,
 )
-from densecap.cli import _json_text, _write_sweep, main  # noqa: E402
+from densecap.cli import _MODE_ONLY, _RANGES, _json_text, _write_sweep, build_parser, main  # noqa: E402
 from test_capacity import reference_blahut_arimoto, reference_gap  # noqa: E402
 from densecap.sampling import (  # noqa: E402
     random_bipartite_state,
@@ -115,6 +115,10 @@ def paths(tmp_path_factory):
         "empty-ensemble": json.dumps({"dim": 2, "unitaries": []}),
         "infinite-dim": json.dumps({"dim": float("inf"), "unitaries": [qubit_id]}),
         "weyl2": json.dumps(ensemble_to_json(weyl_set(2))),
+        "fractional-dim": json.dumps({"dim": 2.7, "matrix": np.stack([np.eye(2) / 2, 0 * np.eye(2)], -1).tolist()}),
+        "bloch-true": json.dumps({"bloch": [True, 0, 0]}),
+        "wide-ensemble": json.dumps({"dim": 11, "unitaries": [np.stack([np.eye(11), 0 * np.eye(11)], -1).tolist()]}),
+        "nested-prior": json.dumps({**ensemble_to_json(weyl_set(2)), "prior": [[0.25, 0.25], [0.25, 0.25]]}),
     }
     out = {"dir": str(root), "missing": str(root / "missing.json")}
     for name, text in contents.items():
@@ -131,10 +135,14 @@ BAD_FLOATS = ["abc", "nan", "inf", "-inf", "0", "-1e-9"]
 STATES = [
     "bell", "werner:0.8", "werner:nan", "werner:2", "werner:x", "max-entangled:1", "max-entangled:0",
     "max-entangled:11", "max-entangled:1000", "max-entangled:abc", "bloch:nan,0,0", "bloch:1,1",
-    "bloch:2,0,0", "bloch:0,0,1", "@dir", "@missing", "@broken", "@nan-state", "@state",
+    "bloch:2,0,0", "bloch:0,0,1", "@dir", "@missing", "@broken", "@nan-state", "@state", "@fractional-dim",
+    "@bloch-true",
 ]
-DIMS = ["1,4", "4,1", "0,0", "-2,-2", "2", "a,b", "nan,nan", "2,2", "3,3"]
-ENSEMBLES = ["@dir", "@missing", "@broken", "@non-unitary", "@bad-prior", "@empty-ensemble", "@infinite-dim", "@weyl2"]
+DIMS = ["1,4", "4,1", "0,0", "-2,-2", "2", "a,b", "nan,nan", "2,2", "3,3", "11,2"]
+ENSEMBLES = [
+    "@dir", "@missing", "@broken", "@non-unitary", "@bad-prior", "@empty-ensemble", "@infinite-dim", "@weyl2",
+    "@wide-ensemble", "@nested-prior",
+]
 COMMON = {
     # 2**128 is the first seed that is not a Philox key
     "--seed": ["-1", "abc", "nan", "0", "3", "340282366920938463463374607431768211456"],
@@ -190,6 +198,18 @@ def test_malformed_argv_one_line_error(paths, data):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+def test_malformed_argv_draws_every_checked_flag():
+    """Every flag that cli._RANGES or cli._MODE_ONLY checks for a command is one the property may give it."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(COMMANDS)
+    for command, parser in subparsers.choices.items():
+        drawn = {*COMMANDS[command], *COMMON}
+        checked = [flag for flag in _RANGES if flag in parser._option_string_actions]
+        checked += [f for (c, flag), (_, modes) in _MODE_ONLY.items() if c == command for f in (flag, *modes)]
+        for flag in checked:  # --use-key is drawn as --no-use-key, one of its option strings
+            assert drawn & set(parser._option_string_actions[flag].option_strings), (command, flag)
 
 
 SMALLEST_NORMAL = 2.2250738585072014e-308

@@ -451,3 +451,23 @@ class TestJson:
             state_from_json({"something": 1})
         with pytest.raises(ParseError):
             state_from_json([1, 2, 3])
+
+    # np.asarray reads true as 1 and int() truncates 2.7 to 2, but none of these is a state
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"bloch": [True, 0, 0]},
+            {"dim": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]},
+            {"dim": True, "matrix": [[[1, 0]]]},
+            {"dim": 2.7, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"dim": "2", "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        ],
+        ids=["bloch-true", "matrix-boolean", "dim-true", "dim-2.7", "dim-string"],
+    )
+    def test_non_numbers_rejected(self, obj):
+        with pytest.raises(ParseError):
+            state_from_json(obj)
+
+    def test_whole_float_dim_accepted(self):
+        s = state_from_json({"dim": 2.0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
+        assert np.array_equal(s.matrix, np.eye(2) / 2)

@@ -76,9 +76,10 @@ def _averaged_states(prior: np.ndarray, unitaries: np.ndarray, joints: np.ndarra
     ensemble per state (s, n, D, D).  These are the three products that
     np.einsum("a,aij,jk,alk->il", prior, U, rho, U.conj(), optimize=True)
     runs for one state, in its order and on operands of its layouts, with
-    the states as a batch axis: every average is bit-identical to that
-    einsum's, whose rounding the golden files record, for fewer than D^2
-    unitaries (from D^2 on, numpy contracts the prior first).  States go
+    the states as a batch axis.  For n < D^2 (verify's lifted ensembles)
+    every average is bit-identical to that einsum's; from D^2 on numpy
+    contracts the prior first, so for the twirls (n = D^2) the reference
+    is average_state of each state alone.  States go
     through in chunks whose intermediates hold at most _AVERAGE_CHUNK_BYTES
     each (one state at least): a whole 256-state block would take 3 MB per
     intermediate at d = 3 and 190 MB at d = 6.

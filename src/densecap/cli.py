@@ -335,11 +335,8 @@ def _twirl_residual(rng: np.random.Generator, samples: int, e=None) -> float:
     prior = np.full(4, 0.25) if e is None else e.prior
     worst = 0.0
     for draws in _gaussian_blocks(rng, samples, frame + 2 * d * d):
-        if e is None:
-            us = _qubit_set_stack(_frame_rows(draws[:, :9].reshape(-1, 3, 3)))
-        else:  # the one ensemble, as a stack of one per state
-            us = np.broadcast_to(e.unitaries, (len(draws), *e.unitaries.shape))
-        avg = np.einsum("a,saij,sjk,salk->sil", prior, us, _random_states(draws[:, frame:], d), us.conj())
+        us = e.unitaries if e is not None else _qubit_set_stack(_frame_rows(draws[:, :9].reshape(-1, 3, 3)))
+        avg = _averaged_states(prior, us, _random_states(draws[:, frame:], d))
         worst = max(worst, _max_norm(avg - np.eye(d) / d))
     return worst
 

@@ -10,7 +10,7 @@ from densecap import ensemble_to_json, state_to_json, werner_state
 from densecap.capacity import _averaged_states
 from densecap.cli import _MODE_ONLY, load_state, main
 from densecap.encodings import EncodingEnsemble, _qubit_set_stack, weyl_set
-from densecap.qstate import PAULI_X, _kron
+from densecap.qstate import PAULI_X, DensityMatrix, _kron
 from densecap.sampling import _frame_rows, _random_states
 
 # the 6x6 state of the cross_check_2x3 golden file
@@ -243,6 +243,30 @@ def reference_sweep(spec: str, fmt: str, tol: float = 1e-9) -> str:
     return _json_text(payload) + "\n"
 
 
+def reference_twirl(e: EncodingEnsemble, rho: DensityMatrix) -> float:
+    """Distance from 1/d of rho twirled by e, through the library's average_state."""
+    return float(np.linalg.norm(cap.average_state(e, rho).matrix - np.eye(e.dim) / e.dim))
+
+
+def reference_verify_ensemble(e: EncodingEnsemble, samples: int, seed: int) -> str:
+    """stdout of `verify --ensemble` for the ensemble e, computed sample by sample from the library."""
+    from densecap.encodings import verify_orthogonality
+    from densecap.sampling import random_density_matrix
+
+    rng = np.random.default_rng(seed)
+    gram, _ = verify_orthogonality(e)
+    residuals = [
+        ("ensemble_gram", float(np.max(np.abs(gram - np.eye(len(e))))), 1e-10),
+        ("ensemble_twirl", max(reference_twirl(e, random_density_matrix(e.dim, rng)) for _ in range(samples)), 1e-10),
+    ]
+    checks = [{"check": n, "max_residual": r, "tolerance": t, "pass": r < t} for n, r, t in residuals]
+    payload = {
+        "command": "verify", "d": e.dim, "samples": samples, "seed": seed, "checks": checks,
+        "pass": all(c["pass"] for c in checks),
+    }
+    return reference_json(payload) + "\n"
+
+
 def reference_verify(d: int, samples: int, seed: int) -> str:
     """stdout of `verify --d d`, computed sample by sample from the library."""
     from densecap.capacity import _capacity_row
@@ -254,11 +278,6 @@ def reference_verify(d: int, samples: int, seed: int) -> str:
         random_bipartite_state, random_density_matrix, random_orthonormal_frame,
     )
 
-    def twirl_residual(e, rho):
-        stack = np.stack(e.unitaries)
-        avg = np.einsum("a,aij,jk,alk->il", e.prior, stack, rho, stack.conj())
-        return float(np.linalg.norm(avg - np.eye(e.dim) / e.dim))
-
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -269,13 +288,13 @@ def reference_verify(d: int, samples: int, seed: int) -> str:
         worst = 0.0
         for _ in range(samples):
             e = canonical_qubit_set(random_orthonormal_frame(rng))
-            worst = max(worst, twirl_residual(e, random_density_matrix(2, rng).matrix))
+            worst = max(worst, reference_twirl(e, random_density_matrix(2, rng)))
         record("frame_twirl", worst, 1e-12)
     weyl = weyl_set(d)
     gram, _ = verify_orthogonality(weyl)
     record("weyl_gram", float(np.max(np.abs(d * gram - d * np.eye(len(weyl))))), 1e-12)
-    states = [random_density_matrix(d, rng).matrix for _ in range(samples)]
-    record("weyl_twirl", max(twirl_residual(weyl, rho) for rho in states), 1e-10)
+    states = [random_density_matrix(d, rng) for _ in range(samples)]
+    record("weyl_twirl", max(reference_twirl(weyl, rho) for rho in states), 1e-10)
     basis = np.stack(gellmann_basis(d).lambdas)
     basis_gram = np.einsum("aij,bji->ab", basis, basis)
     record("gellmann_orthogonality", float(np.max(np.abs(basis_gram - d * np.eye(d * d - 1)))), 1e-12)
@@ -310,6 +329,19 @@ class TestBlockedVerify:
         code, out = run(capsys, ["verify", "--d", str(d), "--samples", str(samples), "--seed", str(seed)])
         assert code == 0
         assert out == reference_verify(d, samples, seed)
+
+    @pytest.mark.parametrize("samples", [1, 20, 300])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", ["weyl7", "weyl10", "antipodal"])
+    def test_ensemble_matches_per_sample_reference(self, capsys, tmp_path, name, seed, samples):
+        from densecap import antipodal_pair, ensemble_from_json
+
+        e = {"weyl7": weyl_set(7), "weyl10": weyl_set(10), "antipodal": antipodal_pair((0.3, 0.0, 0.4))}[name]
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(ensemble_to_json(e)))
+        code, out = run(capsys, ["verify", "--ensemble", str(path), "--samples", str(samples), "--seed", str(seed)])
+        assert code == (name == "antipodal")  # a pair twirls no state to the total mixture
+        assert out == reference_verify_ensemble(ensemble_from_json(json.loads(path.read_text())), samples, seed)
 
     def test_memory_flat_in_samples(self, capsys):
         import tracemalloc
@@ -360,6 +392,27 @@ class TestAveragedStates:
         prior = np.full(4, 0.25)
         expected = per_sample_averages(prior, lifts, joints)
         assert np.array_equal(_averaged_states(prior, lifts, joints), expected)
+
+    # the twirl shapes have n = D^2 unitaries, where the einsum contracts the prior
+    # first; the library's average_state of each state alone is their reference
+    @pytest.mark.parametrize("samples", [1, 7, 256])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_shared_weyl_twirl(self, d, samples):
+        weyl = weyl_set(d)
+        states = self.states(np.random.default_rng([d, samples]), samples, d)
+        expected = np.stack([cap.average_state(weyl, DensityMatrix(rho)).matrix for rho in states])
+        assert np.array_equal(_averaged_states(weyl.prior, weyl.unitaries, states), expected)
+
+    @pytest.mark.parametrize("samples", [1, 7, 256])
+    def test_per_sample_frame_twirls(self, samples):
+        rng = np.random.default_rng([2, samples])
+        states = self.states(rng, samples, 2)
+        sets = _qubit_set_stack(_frame_rows(rng.standard_normal((samples, 3, 3))))
+        prior = np.full(4, 0.25)
+        expected = np.stack([
+            cap.average_state(EncodingEnsemble(2, us, prior), DensityMatrix(rho)).matrix for us, rho in zip(sets, states)
+        ])
+        assert np.array_equal(_averaged_states(prior, sets, states), expected)
 
 
 class TestRandomStates:

@@ -158,7 +158,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, bytes that are not text, or nesting too deep
         raise ParseError(f"{path}: {exc}") from None
 
 

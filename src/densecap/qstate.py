@@ -506,11 +506,12 @@ def _json_dim(value) -> int:
 
 
 def _json_floats(value) -> np.ndarray:
-    """A JSON number, or lists of them nested, as a float array; ParseError for a boolean,
-    which np.asarray would read as 0 or 1."""
+    """A JSON number, or lists of them nested, as a float array; ParseError for an entry that is
+    not a real number, such as a string, null, or a boolean, which np.asarray would read as 0 or 1."""
     entries = np.asarray(value, dtype=object)
-    if bool in set(map(type, entries.flat)):
-        raise ParseError("a boolean is not a number")
+    for kind in set(map(type, entries.flat)):  # each distinct type once
+        if kind is bool or not issubclass(kind, numbers.Real):
+            raise ParseError(f"{next(x for x in entries.flat if type(x) is kind)!r} is not a number")
     return entries.astype(float)
 
 
@@ -535,18 +536,17 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
         parts = obj["tensor"]
         if not isinstance(parts, dict) or "a" not in parts or "b" not in parts:
             raise ParseError("tensor form needs 'a' and 'b' states")
-        a = state_from_json(parts["a"])
-        b = state_from_json(parts["b"])
-        if isinstance(a, BipartiteState) or isinstance(b, BipartiteState):
+        # checked before parsing the factors, so that a nested tensor never recurses
+        if any(isinstance(parts[k], dict) and "tensor" in parts[k] for k in "ab"):
             raise ParseError("tensor factors must be single-system states")
-        return BipartiteState.from_product(a, b)
+        return BipartiteState.from_product(state_from_json(parts["a"]), state_from_json(parts["b"]))
     if "bloch" in obj:
         comps = obj["bloch"]
         if not isinstance(comps, (list, tuple)) or len(comps) != 3:
             raise ParseError("bloch form needs three components")
         try:
             return from_bloch(tuple(_json_floats(comps).tolist()))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad bloch components: {exc}") from None
     if "dim" in obj and "matrix" in obj:
         dim = _json_dim(obj["dim"])

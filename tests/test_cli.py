@@ -700,7 +700,8 @@ class TestErrorPaths:
         assert main(["entanglement", "--state", "werner:0.8", "--m", "16", "--restarts", "2"]) == 0
         assert main(with_size_files(tmp_path, ["capacity", "--state", "@mixed20", "--dims", "10,2"])) == 0
 
-    # np.asarray reads true as 1 and false as 0, but none of these is a state (dims like 4.9: size-cap rows)
+    # np.asarray reads true as 1 and false as 0, float() reads "0.5" as 0.5 and None as NaN, but none
+    # of these is a state (dims like 4.9: size-cap rows)
     @pytest.mark.parametrize(
         "state",
         [
@@ -708,8 +709,13 @@ class TestErrorPaths:
             {"tensor": {"a": {"bloch": [0, 0, 1]}, "b": {"bloch": [0, False, 1]}}},
             {"dim": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]},
             mixed_state_json(1, True),
+            {"bloch": ["0.5", 0, 0]},
+            {"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"dim": 2, "matrix": [[[0.5, 0], [None, 0]], [[None, 0], [0.5, 0]]]},
+            {"bloch": [10**400, 0, 0]},
         ],
-        ids=["bloch-true", "tensor-false", "matrix-true", "dim-true"],
+        ids=["bloch-true", "tensor-false", "matrix-true", "dim-true", "bloch-string", "matrix-string", "matrix-null",
+             "bloch-int-overflow"],
     )
     def test_boolean_in_state_file_exit_3(self, capsys, tmp_path, state):
         path = tmp_path / "state.json"
@@ -733,10 +739,12 @@ class TestErrorPaths:
             (identity_ensemble_json(2, 2.7), 3),
             ({**identity_ensemble_json(2), "prior": [True]}, 3),
             ({"dim": 2, "unitaries": identity_ensemble_json(2)["unitaries"] * 4, "prior": [[0.25, 0.25]] * 2}, 3),
+            ({**identity_ensemble_json(2), "prior": ["1"]}, 3),
+            ({**identity_ensemble_json(2), "prior": [None]}, 3),
         ],
         ids=[
             "non-unitary", "prior-length", "nan-prior", "negative-prior", "empty", "infinite-dim", "dim-1",
-            "dim-2.7", "boolean-prior", "nested-prior",
+            "dim-2.7", "boolean-prior", "nested-prior", "string-prior", "null-prior",
         ],
     )
     def test_bad_ensemble_one_line_error(self, capsys, tmp_path, command, ensemble, code):
@@ -745,6 +753,27 @@ class TestErrorPaths:
         argv = [command, "--ensemble", str(path)]
         argv += ["--samples", "5"] if command == "verify" else ["--trials", "5"]
         assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    # json.load raises RecursionError past ~1,000 levels; 3,000 tensors nest 6,000 objects
+    @pytest.mark.parametrize("nesting", ["lists", "tensors"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--state"], ["entanglement", "--state"], ["simulate", "--state"],
+            ["simulate", "--ensemble"], ["verify", "--ensemble"],
+        ],
+        ids=["capacity-state", "entanglement-state", "simulate-state", "simulate-ensemble", "verify-ensemble"],
+    )
+    def test_deeply_nested_file_exit_3(self, capsys, tmp_path, argv, nesting):
+        path = tmp_path / "nested.json"
+        if nesting == "lists":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            path.write_text('{"tensor": {"a": ' * 3000 + '{"bloch": [0, 0, 1]}' + ', "b": {"bloch": [0, 0, 1]}}}' * 3000)
+        assert main([*argv, str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

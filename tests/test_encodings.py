@@ -351,7 +351,8 @@ class TestEnsemble:
         with pytest.raises(ParseError):
             ensemble_from_json({"dim": 2, "unitaries": []})
 
-    # int() truncates 2.5 to 2, np.asarray reads true as 1 and reshape flattens a nested prior: none is an ensemble
+    # int() truncates 2.5 to 2, np.asarray reads true as 1, float() reads "0.25" as 0.25 and None as NaN,
+    # and reshape flattens a nested prior: none is an ensemble
     @pytest.mark.parametrize(
         "change",
         [
@@ -359,8 +360,13 @@ class TestEnsemble:
             {"dim": True, "unitaries": [[[[1, 0]]]]},
             {"prior": [[0.25, 0.25], [0.25, 0.25]]},
             {"prior": [True, False, False, False]},
+            {"prior": ["0.25"] * 4},
+            {"prior": [None] * 4},
+            {"unitaries": [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]], "prior": [1]},
+            {"unitaries": [[[[1, 0], [0, None]], [[0, 0], [1, 0]]]], "prior": [1]},
         ],
-        ids=["dim-2.5", "dim-true", "nested-prior", "boolean-prior"],
+        ids=["dim-2.5", "dim-true", "nested-prior", "boolean-prior", "string-prior", "null-prior", "string-entry",
+             "null-entry"],
     )
     def test_json_non_numbers_rejected(self, change):
         with pytest.raises(ParseError):

@@ -119,6 +119,7 @@ def paths(tmp_path_factory):
         "bloch-true": json.dumps({"bloch": [True, 0, 0]}),
         "wide-ensemble": json.dumps({"dim": 11, "unitaries": [np.stack([np.eye(11), 0 * np.eye(11)], -1).tolist()]}),
         "nested-prior": json.dumps({**ensemble_to_json(weyl_set(2)), "prior": [[0.25, 0.25], [0.25, 0.25]]}),
+        "deep-nesting": "[" * 100_000 + "]" * 100_000,
     }
     out = {"dir": str(root), "missing": str(root / "missing.json")}
     for name, text in contents.items():
@@ -136,12 +137,12 @@ STATES = [
     "bell", "werner:0.8", "werner:nan", "werner:2", "werner:x", "max-entangled:1", "max-entangled:0",
     "max-entangled:11", "max-entangled:1000", "max-entangled:abc", "bloch:nan,0,0", "bloch:1,1",
     "bloch:2,0,0", "bloch:0,0,1", "@dir", "@missing", "@broken", "@nan-state", "@state", "@fractional-dim",
-    "@bloch-true",
+    "@bloch-true", "@deep-nesting",
 ]
 DIMS = ["1,4", "4,1", "0,0", "-2,-2", "2", "a,b", "nan,nan", "2,2", "3,3", "11,2"]
 ENSEMBLES = [
     "@dir", "@missing", "@broken", "@non-unitary", "@bad-prior", "@empty-ensemble", "@infinite-dim", "@weyl2",
-    "@wide-ensemble", "@nested-prior",
+    "@wide-ensemble", "@nested-prior", "@deep-nesting",
 ]
 COMMON = {
     # 2**128 is the first seed that is not a Philox key

@@ -452,7 +452,8 @@ class TestJson:
         with pytest.raises(ParseError):
             state_from_json([1, 2, 3])
 
-    # np.asarray reads true as 1 and int() truncates 2.7 to 2, but none of these is a state
+    # np.asarray reads true as 1, float() reads "0.5" as 0.5 and None as NaN, and int() truncates 2.7
+    # to 2, but none of these is a state
     @pytest.mark.parametrize(
         "obj",
         [
@@ -461,11 +462,36 @@ class TestJson:
             {"dim": True, "matrix": [[[1, 0]]]},
             {"dim": 2.7, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
             {"dim": "2", "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"bloch": ["0.5", 0, 0]},
+            {"bloch": [None, 0, 0]},
+            {"bloch": [0.5j, 0, 0]},
+            {"bloch": [np.bool_(True), 0, 0]},
+            {"bloch": [10**400, 0, 0]},
+            {"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"dim": 2, "matrix": [[[0.5, 0], [None, 0]], [[None, 0], [0.5, 0]]]},
         ],
-        ids=["bloch-true", "matrix-boolean", "dim-true", "dim-2.7", "dim-string"],
+        ids=[
+            "bloch-true", "matrix-boolean", "dim-true", "dim-2.7", "dim-string", "bloch-string", "bloch-null",
+            "bloch-complex", "bloch-numpy-bool", "bloch-int-overflow", "matrix-string", "matrix-null",
+        ],
     )
     def test_non_numbers_rejected(self, obj):
         with pytest.raises(ParseError):
+            state_from_json(obj)
+
+    # library callers may pass numpy scalars: any real type but a boolean is a number
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64])
+    def test_numpy_real_entries_accepted(self, kind):
+        zero, one = kind(0), kind(1)
+        matrix = [[[one, zero], [zero, zero]], [[zero, zero], [zero, zero]]]
+        assert np.array_equal(state_from_json({"dim": 2, "matrix": matrix}).matrix, np.diag([1.0, 0.0]))
+        assert np.array_equal(state_from_json({"bloch": [zero, zero, one]}).matrix, np.diag([1.0, 0.0]))
+
+    def test_nested_tensor_rejected_without_recursion(self):
+        obj = {"bloch": [0, 0, 1]}
+        for _ in range(100_000):
+            obj = {"tensor": {"a": obj, "b": {"bloch": [0, 0, 1]}}}
+        with pytest.raises(ParseError, match="single-system"):
             state_from_json(obj)
 
     def test_whole_float_dim_accepted(self):

@@ -10,7 +10,11 @@ Barzilai-Borwein steps, `entanglement_2x3_restarts9` by the release
 before the search held its state for the running restarts only, and the
 `*_csv` files of single commands and `bloch_z*` by the release before
 the standard library's JSON encoder replaced the hand-written one, so a change to the numerics or the
-formatting of these commands shows here as a byte diff.
+formatting of these commands shows here as a byte diff.  The `frame_twirl`
+line of `verify_d2` and `verify_d2_csv` and the `weyl_twirl` line of
+`verify_d3` and `verify_d4` were regenerated by the release that ran the
+twirl checks through capacity._averaged_states, whose rounding differs
+from the four-operand einsum it replaced.
 Regenerate a file only for a deliberate output change, and say so in
 the change log.
 """

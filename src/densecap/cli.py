@@ -21,20 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import capacity as cap
-from . import entanglement as ent
-from . import protosim as sim
-from .capacity import _averaged_states, _capacity_row, _stack_columns
-from .encodings import (
-    EncodingEnsemble,
-    OrthonormalFrame,
-    _qubit_set_stack,
-    canonical_qubit_set,
-    ensemble_from_json,
-    lift_ensemble,
-    verify_orthogonality,
-    weyl_set,
-)
+from . import capacity as cap, encodings as enc, entanglement as ent, protosim as sim, sampling
 from .errors import DenseCapError, InvalidState, ParseError
 from .qstate import (
     BipartiteState,
@@ -51,7 +38,6 @@ from .qstate import (
     werner_matrices,
     werner_state,
 )
-from .sampling import _frame_rows, _random_states
 
 
 # caps on sizes that a command line sets, checked before anything is allocated
@@ -209,9 +195,9 @@ def _as_bipartite(state, dims_flag: str | None) -> BipartiteState:
     return BipartiteState(joint, (d_a, d_b))
 
 
-def _load_ensemble(path: str) -> EncodingEnsemble:
+def _load_ensemble(path: str) -> enc.EncodingEnsemble:
     """The ensemble of a JSON file, of dimension at most MAX_DIM."""
-    e = ensemble_from_json(_load_json(path))
+    e = enc.ensemble_from_json(_load_json(path))
     if e.dim > MAX_DIM:
         raise ParseError(f"ensemble dimension {e.dim} exceeds the largest dimension, {MAX_DIM}")
     return e
@@ -245,7 +231,7 @@ def _sweep_blocks(p0: float, step: float, n: int):
     for start in range(0, n, SWEEP_BLOCK):
         ps = p0 + step * np.arange(start, min(start + SWEEP_BLOCK, n))
         joints = werner_matrices(ps)
-        cols, _, _ = _stack_columns(joints, _validated_spectra(joints), (2, 2))
+        cols, _, _ = cap._stack_columns(joints, _validated_spectra(joints), (2, 2))
         yield {"param": ps, **cols}
 
 
@@ -293,7 +279,7 @@ def cmd_capacity(args) -> int:
         }
         return _finish(args, True, payload, _CAPACITY_CSV_HEADER, [[args.state, c_normal, "", "", ""]])
     s = _as_bipartite(state, args.dims)
-    row = _capacity_row(s)
+    row = cap._capacity_row(s)
     ok = max(row["residual_ab"], row["residual_ba"], row["asymmetry_residual"]) < args.tol
     payload = {"command": "capacity", "state": args.state, "dims": list(s.dims), **row}
     if args.cross_check:
@@ -335,8 +321,9 @@ def _twirl_residual(rng: np.random.Generator, samples: int, e=None) -> float:
     prior = np.full(4, 0.25) if e is None else e.prior
     worst = 0.0
     for draws in _gaussian_blocks(rng, samples, frame + 2 * d * d):
-        us = e.unitaries if e is not None else _qubit_set_stack(_frame_rows(draws[:, :9].reshape(-1, 3, 3)))
-        avg = _averaged_states(prior, us, _random_states(draws[:, frame:], d))
+        frames = None if e is not None else sampling._frame_rows(draws[:, :9].reshape(-1, 3, 3))
+        us = e.unitaries if e is not None else enc._qubit_set_stack(frames)
+        avg = cap._averaged_states(prior, us, sampling._random_states(draws[:, frame:], d))
         worst = max(worst, _max_norm(avg - np.eye(d) / d))
     return worst
 
@@ -352,14 +339,14 @@ def cmd_verify(args) -> int:
     if args.ensemble:
         e = _load_ensemble(args.ensemble)
         d = e.dim
-        gram, _ = verify_orthogonality(e)
+        gram, _ = enc.verify_orthogonality(e)
         record("ensemble_gram", float(np.max(np.abs(gram - np.eye(len(e))))), 1e-10)
         record("ensemble_twirl", _twirl_residual(rng, args.samples, e), 1e-10)
     else:
         if d == 2:
             record("frame_twirl", _twirl_residual(rng, args.samples), 1e-12)
-        weyl = weyl_set(d)
-        gram, _ = verify_orthogonality(weyl)
+        weyl = enc.weyl_set(d)
+        gram, _ = enc.verify_orthogonality(weyl)
         record("weyl_gram", float(np.max(np.abs(d * gram - d * np.eye(len(weyl))))), 1e-12)
         record("weyl_twirl", _twirl_residual(rng, args.samples, weyl), 1e-10)
         basis = gellmann_basis(d).lambdas
@@ -375,15 +362,15 @@ def cmd_verify(args) -> int:
         # the sender's ensemble: for d = 2 a random frame's qubit set, drawn after each state
         prior = np.full(4, 0.25) if d == 2 else weyl.prior
         if d > 2:  # one Weyl lift, shared by every sample
-            lifts = lift_ensemble(weyl, d).unitaries
+            lifts = enc.lift_ensemble(weyl, d).unitaries
         for draws in _gaussian_blocks(rng, args.samples, 2 * dd * dd + (9 if d == 2 else 0)):
-            joints = _random_states(draws, dd)
-            cols, reduced_a, reduced_b = _stack_columns(joints, _validated_spectra(joints), (d, d))
+            joints = sampling._random_states(draws, dd)
+            cols, reduced_a, reduced_b = cap._stack_columns(joints, _validated_spectra(joints), (d, d))
 
             if d == 2:
-                frames = _frame_rows(draws[:, 2 * dd * dd :].reshape(-1, 3, 3))
-                lifts = _kron(_qubit_set_stack(frames), np.eye(2, dtype=complex))
-            avg = _averaged_states(prior, lifts, joints)
+                frames = sampling._frame_rows(draws[:, 2 * dd * dd :].reshape(-1, 3, 3))
+                lifts = _kron(enc._qubit_set_stack(frames), np.eye(2, dtype=complex))
+            avg = cap._averaged_states(prior, lifts, joints)
             _validated_spectra(avg)
             averaged = _max_norm(avg - _kron(np.eye(d) / d, reduced_b))
             del avg  # freed before the reconstruction, which sets the block's peak memory
@@ -418,9 +405,9 @@ def cmd_simulate(args) -> int:
         if args.ensemble:
             e = _load_ensemble(args.ensemble)
         elif s.dim_a == 2:
-            e = canonical_qubit_set(OrthonormalFrame.standard())
+            e = enc.canonical_qubit_set(enc.OrthonormalFrame.standard())
         else:
-            e = weyl_set(s.dim_a)
+            e = enc.weyl_set(s.dim_a)
         basis = args.decoder.partition(":")[2] or "z"  # of a single-particle decoder
         decoder = sim.BellDecoder() if args.decoder == "bell" else sim.SingleParticleDecoder(basis)
         trace = sim.run_quantum_dense(s, e, decoder, args.trials, args.seed)

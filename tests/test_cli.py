@@ -668,14 +668,14 @@ class TestErrorPaths:
             (["entanglement", "--state", "werner:0.8", "--m", "100000000"], "ent.convex_roof"),
             (["entanglement", "--state", "werner:0.8", "--m", "0"], "ent.convex_roof"),
             (["entanglement", "--state", "werner:0.8", "--m", "-3"], "ent.convex_roof"),
-            (["capacity", "--state", "@mixed22", "--dims", "11,2", "--cross-check"], "_capacity_row"),
+            (["capacity", "--state", "@mixed22", "--dims", "11,2", "--cross-check"], "cap._capacity_row"),
             (["entanglement", "--state", "@mixed22", "--dims", "11,2"], "ent.convex_roof"),
-            (["simulate", "--state", "@mixed22", "--dims", "11,2"], "weyl_set"),
-            (["verify", "--ensemble", "@ensemble11"], "verify_orthogonality"),
+            (["simulate", "--state", "@mixed22", "--dims", "11,2"], "enc.weyl_set"),
+            (["verify", "--ensemble", "@ensemble11"], "enc.verify_orthogonality"),
             (["simulate", "--ensemble", "@ensemble11"], "sim.run_quantum_dense"),
-            (["capacity", "--state", "@dim4.9"], "_capacity_row"),
+            (["capacity", "--state", "@dim4.9"], "cap._capacity_row"),
             (["capacity", "--state", "@dim2.7"], "cap.normal_capacity"),
-            (["verify", "--ensemble", "@ensemble-dim2.7"], "verify_orthogonality"),
+            (["verify", "--ensemble", "@ensemble-dim2.7"], "enc.verify_orthogonality"),
         ],
     )
     def test_size_caps_exit_3_before_allocation(self, capsys, monkeypatch, tmp_path, argv, stage):

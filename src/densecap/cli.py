@@ -321,8 +321,10 @@ def _twirl_residual(rng: np.random.Generator, samples: int, e=None) -> float:
     prior = np.full(4, 0.25) if e is None else e.prior
     worst = 0.0
     for draws in _gaussian_blocks(rng, samples, frame + 2 * d * d):
-        frames = None if e is not None else sampling._frame_rows(draws[:, :9].reshape(-1, 3, 3))
-        us = e.unitaries if e is not None else enc._qubit_set_stack(frames)
+        if e is None:
+            us = enc._qubit_set_stack(sampling._frame_rows(draws[:, :9].reshape(-1, 3, 3)))
+        else:
+            us = e.unitaries
         avg = cap._averaged_states(prior, us, sampling._random_states(draws[:, frame:], d))
         worst = max(worst, _max_norm(avg - np.eye(d) / d))
     return worst

@@ -409,13 +409,16 @@ class TestNamedStates:
 
 
 def test_import_builds_no_state():
-    # a fresh process: importing the CLI makes no BLAS call such as np.linalg.norm
+    # a fresh process: importing the CLI, and running the body of every module it loads on
+    # first use, makes no BLAS call such as np.linalg.norm
     script = (
         "import numpy.linalg\n"
         "calls = []\n"
         "norm = numpy.linalg.norm\n"
         "numpy.linalg.norm = lambda *a, **k: calls.append(1) or norm(*a, **k)\n"
         "import densecap.cli\n"
+        "for module in ('capacity', 'encodings', 'entanglement', 'protosim', 'sampling'):\n"
+        "    vars(getattr(densecap, module))\n"
         "print(len(calls))\n"
     )
     src = os.path.dirname(os.path.dirname(densecap.__file__))

@@ -5,10 +5,11 @@ the average sum of marginal entropies.  The minimizer runs Riemannian
 gradient descent over the isometries that mix the eigendecomposition,
 with Barzilai-Borwein first trial steps, a nonmonotone (Zhang-Hager)
 Armijo test and the best iterate of each restart kept; a restart stops
-after two consecutive iterations that barely change its cost, and
-restart 0 starts just off the eigendecomposition, whose cost still
-bounds the result.  For two qubits the Wootters concurrence gives an
-independent closed-form value E = 2 E_F to validate against.
+after two consecutive iterations that barely change its cost.  Each
+restart starts from its own slot of one seeded draw (restart 0 just off
+the eigendecomposition, whose cost bounds the result), so more restarts
+never raise the value.  For two qubits the Wootters concurrence gives
+an independent closed-form value E = 2 E_F to validate against.
 """
 
 from __future__ import annotations
@@ -80,14 +81,6 @@ class ConvexRoofResult:
         }
 
 
-def _log2_floor(x: np.ndarray) -> np.ndarray:
-    return np.log2(np.maximum(x, 1e-300))
-
-
-def _xlog2x(x: np.ndarray, log2_x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x * log2_x, 0.0)
-
-
 def _binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
@@ -98,13 +91,11 @@ def decomposition_cost(d: Decomposition) -> float:
     """Average pure-state correlation sum_k p_k [S(rho_A^k) + S(rho_B^k)].
 
     Marginal entropies of a pure joint state coincide (shared Schmidt
-    spectrum), so each term is twice the Schmidt entropy.
+    spectrum), so each term is twice the Schmidt entropy: the search
+    kernel's cost of the row sqrt(p_k) |psi_k>.
     """
-    d_a, d_b = d.dims
-    stack = d.vectors.reshape(len(d.vectors), d_a, d_b)
-    schmidt_sq = np.linalg.svd(stack, compute_uv=False) ** 2
-    entropies = -np.sum(_xlog2x(schmidt_sq, _log2_floor(schmidt_sq)), axis=1)
-    return float(np.sum(d.weights * 2.0 * entropies))
+    rows = np.sqrt(d.weights)[:, None] * d.vectors
+    return float(_rows_cost_grad(rows.reshape(-1, *d.dims))[0].sum())
 
 
 def concurrence_oracle(s: BipartiteState) -> tuple[float, float]:
@@ -138,8 +129,8 @@ def _rows_cost_grad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, s, wh = np.linalg.svd(rows, full_matrices=False)
     sq = s * s
     p = sq.sum(axis=-1)
-    log_p, log_sq = _log2_floor(p), _log2_floor(sq)
-    cost = 2.0 * (_xlog2x(p, log_p) - _xlog2x(sq, log_sq).sum(axis=-1))
+    log_p, log_sq = np.log2(np.maximum(p, 1e-300)), np.log2(np.maximum(sq, 1e-300))
+    cost = 2.0 * (np.where(p > 0.0, p * log_p, 0.0) - np.where(sq > 0.0, sq * log_sq, 0.0).sum(axis=-1))
     scale = 2.0 * (log_p[..., None] - log_sq) * s
     return cost, np.einsum("...ij,...j,...jk->...ik", u, scale, wh)
 
@@ -166,12 +157,13 @@ def convex_roof(
     last accepted step when it is not finite and positive), halved until
     it passes the Armijo test against the nonmonotone Zhang-Hager reference
     C_k with eta = 0.85 (Zhang & Hager, SIAM J. Optim. 14, 1043 (2004);
-    Wen & Yin, Math. Program. 142, 397 (2013)).  Restarts begin at random
-    isometries.  Restart 0 begins at the QR retraction of the
-    eigendecomposition plus 1e-2 times a seeded complex Gaussian matrix,
-    drawn after the other restarts' draws, because the eigendecomposition
-    is stationary when the spectrum is degenerate; its best iterate starts
-    as the eigendecomposition itself, so the result never exceeds its cost.
+    Wen & Yin, Math. Program. 142, 397 (2013)).  Restart r begins at the
+    QR factor of slot r of one seeded complex Gaussian draw, restart 0's
+    slot being the eigendecomposition plus 1e-2 times its Gaussian, because
+    the eigendecomposition is stationary when the spectrum is degenerate;
+    its best iterate starts as the eigendecomposition itself, so the result
+    never exceeds its cost.  Restart r reads only slot r, so its search is
+    the same for any restarts > r, and adding restarts never raises the value.
     All restarts descend as one batch, each stopping after two consecutive
     iterations that change its cost by less than tol.  A restart that stops
     leaves the batch, so later iterations work only on the live restarts.
@@ -197,15 +189,11 @@ def convex_roof(
     # row k of M = V basis holds the unnormalized |psi~_k> reshaped to (d_a, d_b)
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
     n_restarts = int(restarts)
-    rng = np.random.default_rng(seed)
-    mix = np.zeros((n_restarts, m, rank), dtype=complex)
     # restart r draws its real, then its imaginary part; one stacked QR orthonormalizes them all
-    g = rng.standard_normal((n_restarts - 1, 2, m, rank))
-    mix[1:], _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    # drawn after restarts 1..R-1, whose starts then do not depend on it
-    eig = np.eye(m, rank, dtype=complex)
-    g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-    mix[0] = _phase_fixed_qr(eig + _START_OFFSET * g)
+    g = np.random.default_rng(seed).standard_normal((n_restarts, 2, m, rank))
+    start, eig = g[:, 0] + 1j * g[:, 1], np.eye(m, rank, dtype=complex)
+    start[0] = eig + _START_OFFSET * start[0]
+    mix, _ = np.linalg.qr(start)
     basis_h = basis.conj()
 
     def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +209,8 @@ def convex_roof(
     best[0], best_cost[0] = eig, evaluate(eig[None])[0][0]
     # the search state of the live restarts only, in index order; live maps it to restart indices
     live, v = np.arange(n_restarts), mix
-    # Zhang-Hager reference C_k, a weighted mean of past costs, and its weight Q_k
-    ref, weight, step = cost.copy(), np.ones(n_restarts), np.ones(n_restarts)
+    # Zhang-Hager reference C_k, a weighted mean of past costs, and its weight Q_k, the same for every restart
+    ref, weight, step = cost.copy(), 1.0, np.ones(n_restarts)
     # s = 0 on the first iteration, so its step falls back to 1
     prev, prev_xi = mix, np.zeros_like(mix)
     quiet = np.zeros(n_restarts, dtype=int)
@@ -267,8 +255,8 @@ def convex_roof(
             # restarts that met the stopping rule leave the batch
             if not going.any():
                 break
-            live, v, cost, grad, step, weight, ref, prev, prev_xi = (
-                a[going] for a in (live, v, cost, grad, step, weight, ref, prev, prev_xi)
+            live, v, cost, grad, step, ref, prev, prev_xi = (
+                a[going] for a in (live, v, cost, grad, step, ref, prev, prev_xi)
             )
 
     winner = int(np.argmin(best_cost))

@@ -181,9 +181,9 @@ def steepest_descent_roof(s: BipartiteState, restarts: int, seed: int, tol: floa
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
     rng = np.random.default_rng(seed)
     mix = np.zeros((restarts, m, rank), dtype=complex)
-    mix[0, :rank, :rank] = np.eye(rank)
-    for r in range(1, restarts):
+    for r in range(restarts):
         mix[r], _ = np.linalg.qr(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))
+    mix[0] = np.eye(m, rank)
 
     def evaluate(v):
         cost, grad = _rows_cost_grad(np.einsum("rki,iab->rkab", v, basis))
@@ -242,7 +242,9 @@ def reference_convex_roof(s, m=None, restarts=32, tol=1e-6, seed=0, kernel=refer
     array `active` and scatters it back, and every trial step, the first
     included, goes through the `pending` index array.  The search
     constants are read from the module, so a test can shorten both loops
-    for this copy and for convex_roof alike.
+    for this copy and for convex_roof alike.  Its prologue draws and
+    orthonormalizes each restart's start slot in turn, and its final
+    value goes through `kernel` too.
     """
     d_a, d_b = s.dims
     lam, vecs = np.linalg.eigh(s.joint.matrix)
@@ -255,12 +257,10 @@ def reference_convex_roof(s, m=None, restarts=32, tol=1e-6, seed=0, kernel=refer
     n_restarts = int(restarts)
     rng = np.random.default_rng(seed)
     mix = np.zeros((n_restarts, m, rank), dtype=complex)
-    for r in range(1, n_restarts):
-        g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-        mix[r], _ = np.linalg.qr(g)
     eig = np.eye(m, rank, dtype=complex)
-    g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-    mix[0] = _retract(eig + entanglement._START_OFFSET * g)
+    for r in range(n_restarts):
+        g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        mix[r], _ = np.linalg.qr(eig + entanglement._START_OFFSET * g if r == 0 else g)
 
     def evaluate(v):
         cost, grad = kernel(np.einsum("rki,iab->rkab", v, basis))
@@ -321,7 +321,8 @@ def reference_convex_roof(s, m=None, restarts=32, tol=1e-6, seed=0, kernel=refer
     nonzero = weights > 1e-12
     flat, weights = flat[nonzero], weights[nonzero]
     dec = Decomposition(weights / weights.sum(), flat / np.sqrt(weights)[:, None], s.dims)
-    return entanglement.ConvexRoofResult(decomposition_cost(dec), dec, n_restarts, converged)
+    value = float(kernel((np.sqrt(dec.weights)[:, None] * dec.vectors).reshape(-1, d_a, d_b))[0].sum())
+    return entanglement.ConvexRoofResult(value, dec, n_restarts, converged)
 
 
 REFERENCE_STATES = {
@@ -457,8 +458,8 @@ class TestConvexRoof:
 
         monkeypatch.setattr(entanglement, "_rows_cost_grad", counted)
         convex_roof(werner_state(0.85), restarts=4, seed=0)
-        # steepest descent from the last accepted step took 49
-        assert len(calls) == 23
+        # 26 search evaluations and the final decomposition cost; steepest descent from the last accepted step took 49
+        assert len(calls) == 27
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("p", [0.5, 0.9])
@@ -515,6 +516,25 @@ class TestConvexRoof:
         assert set(record) == {"value", "decomposition", "restarts_used", "converged"}
         assert abs(sum(record["decomposition"]["weights"]) - 1.0) < 1e-12
         assert len(record["decomposition"]["vectors"][0]) == 4
+
+
+MONOTONE_STATES = {
+    **{
+        f"{d_a}x{d_b}-{k}": random_bipartite_state(
+            (d_a, d_b), np.random.default_rng([7, d_b, k]), rank=2 + k % (d_a * d_b - 1)
+        )
+        for d_a, d_b in ((2, 2), (2, 3))
+        for k in range(12)
+    },
+    "3x3-rank5": random_bipartite_state((3, 3), np.random.default_rng([7, 3, 0]), rank=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONE_STATES))
+def test_value_never_rises_with_restarts(name):
+    # restart r reads only its own slot of the seeded draw, so a larger batch only adds candidates
+    values = [convex_roof(MONOTONE_STATES[name], restarts=r, seed=0).value for r in range(1, 5)]
+    assert all(more <= fewer for fewer, more in zip(values, values[1:])), values
 
 
 def test_value_is_upper_bound_on_oracle():

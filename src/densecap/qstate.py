@@ -526,7 +526,8 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
     """Parse the JSON state format.
 
     Accepted forms:
-      {"dim": d, "matrix": [[[re, im], ...], ...]}   row-major entries
+      {"dim": d, "matrix": [[[re, im], ...], ...]}   row-major entries;
+                                                     "dims": [d_A, d_B] splits it
       {"bloch": [x, y, z]}                           qubit Bloch vector
       {"tensor": {"a": <state>, "b": <state>}}       product state
     """
@@ -537,7 +538,7 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
         if not isinstance(parts, dict) or "a" not in parts or "b" not in parts:
             raise ParseError("tensor form needs 'a' and 'b' states")
         # checked before parsing the factors, so that a nested tensor never recurses
-        if any(isinstance(parts[k], dict) and "tensor" in parts[k] for k in "ab"):
+        if any(isinstance(parts[k], dict) and ("tensor" in parts[k] or "dims" in parts[k]) for k in "ab"):
             raise ParseError("tensor factors must be single-system states")
         return BipartiteState.from_product(state_from_json(parts["a"]), state_from_json(parts["b"]))
     if "bloch" in obj:
@@ -549,12 +550,15 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad bloch components: {exc}") from None
     if "dim" in obj and "matrix" in obj:
-        dim = _json_dim(obj["dim"])
+        dim, dims = _json_dim(obj["dim"]), obj.get("dims", ())
+        if "dims" in obj and not (isinstance(dims, list) and len(dims) == 2):
+            raise ParseError(f"dims must be a list of two whole numbers, got {dims!r}")
+        dims = tuple(map(_json_dim, dims))
         try:
             m = _matrix_from_json(obj["matrix"], dim)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad matrix entries: {exc}") from None
-        return DensityMatrix(m)
+        return BipartiteState(DensityMatrix(m), dims) if dims else DensityMatrix(m)
     raise ParseError("state JSON needs 'matrix', 'bloch', or 'tensor'")
 
 

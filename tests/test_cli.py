@@ -33,6 +33,7 @@ def identity_ensemble_json(dim: int, declared=None) -> dict:
 SIZE_FILES = {
     "@mixed20": mixed_state_json(20),
     "@mixed22": mixed_state_json(22),
+    "@mixed22-split": {**mixed_state_json(22), "dims": [11, 2]},
     "@ensemble11": identity_ensemble_json(11),
     "@dim4.9": mixed_state_json(4, 4.9),
     "@dim2.7": mixed_state_json(2, 2.7),
@@ -142,6 +143,17 @@ class TestCapacityCommand:
         assert report["direction"] == "b2a"
         assert report["difference"] < 1e-6
         assert report["chi"] == pytest.approx(payload["c_dense_ba"], abs=1e-6)
+
+    def test_state_file_keeps_its_split(self, capsys, tmp_path):
+        from densecap import BipartiteState
+
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_json(BipartiteState(load_state(STATE_2X3), (2, 3)))))
+        code, payload = run_json(capsys, ["capacity", "--state", str(path)])
+        assert code == 0 and payload["pass"] is True and payload["dims"] == [2, 3]
+        # --dims takes precedence over the file's split
+        code, payload = run_json(capsys, ["capacity", "--state", str(path), "--dims", "3,2"])
+        assert code == 0 and payload["dims"] == [3, 2]
 
 
 class TestVerifyCommand:
@@ -669,6 +681,7 @@ class TestErrorPaths:
             (["entanglement", "--state", "werner:0.8", "--m", "0"], "ent.convex_roof"),
             (["entanglement", "--state", "werner:0.8", "--m", "-3"], "ent.convex_roof"),
             (["capacity", "--state", "@mixed22", "--dims", "11,2", "--cross-check"], "cap._capacity_row"),
+            (["capacity", "--state", "@mixed22-split"], "cap._capacity_row"),
             (["entanglement", "--state", "@mixed22", "--dims", "11,2"], "ent.convex_roof"),
             (["simulate", "--state", "@mixed22", "--dims", "11,2"], "enc.weyl_set"),
             (["verify", "--ensemble", "@ensemble11"], "enc.verify_orthogonality"),
@@ -713,14 +726,28 @@ class TestErrorPaths:
             {"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
             {"dim": 2, "matrix": [[[0.5, 0], [None, 0]], [[None, 0], [0.5, 0]]]},
             {"bloch": [10**400, 0, 0]},
+            {**mixed_state_json(6), "dims": [2]},
+            {**mixed_state_json(6), "dims": [2, 3.5]},
+            {**mixed_state_json(6), "dims": "2,3"},
+            {**mixed_state_json(6), "dims": [True, 6]},
+            {"tensor": {"a": {"bloch": [0, 0, 1]}, "b": {**mixed_state_json(6), "dims": [2, 3]}}},
         ],
         ids=["bloch-true", "tensor-false", "matrix-true", "dim-true", "bloch-string", "matrix-string", "matrix-null",
-             "bloch-int-overflow"],
+             "bloch-int-overflow", "dims-one", "dims-3.5", "dims-string", "dims-true", "tensor-factor-dims"],
     )
     def test_boolean_in_state_file_exit_3(self, capsys, tmp_path, state):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state))
         assert main(["capacity", "--state", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("dims", [[2, 2], [1, 6]])
+    def test_state_file_dims_not_a_split_exit_4(self, capsys, tmp_path, dims):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**mixed_state_json(6), "dims": dims}))
+        assert main(["capacity", "--state", str(path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -427,6 +427,10 @@ def test_import_builds_no_state():
     assert out.stdout == "0\n"
 
 
+# the maximally mixed 6-dim state in the JSON matrix form, with a "dims" split added by each row that uses it
+MIXED6 = {"dim": 6, "matrix": np.stack([np.eye(6) / 6, np.zeros((6, 6))], -1).tolist()}
+
+
 class TestJson:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(12)
@@ -434,6 +438,17 @@ class TestJson:
         back = state_from_json(state_to_json(s))
         assert isinstance(back, DensityMatrix)
         assert np.allclose(back.matrix, s.matrix, atol=1e-15)
+
+    def test_bipartite_round_trip(self):
+        s = BipartiteState(random_density_matrix(6, np.random.default_rng(13)), (2, 3))
+        back = state_from_json(state_to_json(s))
+        assert isinstance(back, BipartiteState) and back.dims == (2, 3)
+        assert np.array_equal(back.joint.matrix, s.joint.matrix)
+
+    @pytest.mark.parametrize("dims, error", [([2, 2], DimensionMismatch), ([1, 6], InvalidDimension)])
+    def test_dims_that_do_not_split_the_matrix(self, dims, error):
+        with pytest.raises(error):
+            state_from_json({**MIXED6, "dims": dims})
 
     def test_bloch_form(self):
         s = state_from_json({"bloch": [0.6, 0.0, 0.0]})
@@ -472,10 +487,16 @@ class TestJson:
             {"bloch": [10**400, 0, 0]},
             {"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
             {"dim": 2, "matrix": [[[0.5, 0], [None, 0]], [[None, 0], [0.5, 0]]]},
+            {**MIXED6, "dims": [2]},
+            {**MIXED6, "dims": [2, 3.5]},
+            {**MIXED6, "dims": "2,3"},
+            {**MIXED6, "dims": [True, 6]},
+            {"tensor": {"a": {"bloch": [0, 0, 1]}, "b": {**MIXED6, "dims": [2, 3]}}},
         ],
         ids=[
             "bloch-true", "matrix-boolean", "dim-true", "dim-2.7", "dim-string", "bloch-string", "bloch-null",
             "bloch-complex", "bloch-numpy-bool", "bloch-int-overflow", "matrix-string", "matrix-null",
+            "dims-one", "dims-3.5", "dims-string", "dims-true", "tensor-factor-dims",
         ],
     )
     def test_non_numbers_rejected(self, obj):

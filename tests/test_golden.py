@@ -4,10 +4,9 @@ Each file under tests/data/golden/<name>.out holds the exact stdout of
 `densecap <argv>` run from that directory.  The files were written by
 the release before the batched Werner sweep, the `simulate_*` files by
 the release that draws the count table as one multinomial, `verify_d4` by
-the release before the one-pass JSON emitter,
-`entanglement_werner_085` by the release that gave the convex roof its
-Barzilai-Borwein steps, `entanglement_2x3_restarts9` by the release
-before the search held its state for the running restarts only, and the
+the release before the one-pass JSON emitter, the three `entanglement_*`
+files by the release that started every convex-roof restart from its own
+slot of one seeded draw, and the other
 `*_csv` files of single commands and `bloch_z*` by the release before
 the standard library's JSON encoder replaced the hand-written one, so a change to the numerics or the
 formatting of these commands shows here as a byte diff.  The `frame_twirl`

@@ -527,7 +527,7 @@ def state_from_json(obj: dict) -> DensityMatrix | BipartiteState:
 
     Accepted forms:
       {"dim": d, "matrix": [[[re, im], ...], ...]}   row-major entries;
-                                                     "dims": [d_A, d_B] splits it
+                                                     an optional "dims": [d_A, d_B] splits it
       {"bloch": [x, y, z]}                           qubit Bloch vector
       {"tensor": {"a": <state>, "b": <state>}}       product state
     """

@@ -681,7 +681,6 @@ class TestErrorPaths:
             (["entanglement", "--state", "werner:0.8", "--m", "0"], "ent.convex_roof"),
             (["entanglement", "--state", "werner:0.8", "--m", "-3"], "ent.convex_roof"),
             (["capacity", "--state", "@mixed22", "--dims", "11,2", "--cross-check"], "cap._capacity_row"),
-            (["capacity", "--state", "@mixed22-split"], "cap._capacity_row"),
             (["entanglement", "--state", "@mixed22", "--dims", "11,2"], "ent.convex_roof"),
             (["simulate", "--state", "@mixed22", "--dims", "11,2"], "enc.weyl_set"),
             (["verify", "--ensemble", "@ensemble11"], "enc.verify_orthogonality"),
@@ -689,6 +688,7 @@ class TestErrorPaths:
             (["capacity", "--state", "@dim4.9"], "cap._capacity_row"),
             (["capacity", "--state", "@dim2.7"], "cap.normal_capacity"),
             (["verify", "--ensemble", "@ensemble-dim2.7"], "enc.verify_orthogonality"),
+            (["capacity", "--state", "@mixed22-split"], "cap._capacity_row"),
         ],
     )
     def test_size_caps_exit_3_before_allocation(self, capsys, monkeypatch, tmp_path, argv, stage):

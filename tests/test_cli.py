@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from densecap import capacity as cap
-from densecap import ensemble_to_json, state_to_json, werner_state
+from densecap import BipartiteState, ensemble_to_json, state_to_json, werner_state
 from densecap.capacity import _averaged_states
 from densecap.cli import _MODE_ONLY, load_state, main
 from densecap.encodings import EncodingEnsemble, _qubit_set_stack, weyl_set
@@ -145,8 +145,6 @@ class TestCapacityCommand:
         assert report["chi"] == pytest.approx(payload["c_dense_ba"], abs=1e-6)
 
     def test_state_file_keeps_its_split(self, capsys, tmp_path):
-        from densecap import BipartiteState
-
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_json(BipartiteState(load_state(STATE_2X3), (2, 3)))))
         code, payload = run_json(capsys, ["capacity", "--state", str(path)])

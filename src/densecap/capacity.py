@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encodings import EncodingEnsemble, lift_ensemble, weyl_set
+from . import encodings as enc
 from .errors import DimensionMismatch, NoStates
 from .qstate import (
     BipartiteState, DensityMatrix, _partial_trace_array, _spectrum_entropies, _spectrum_entropy,
@@ -102,14 +102,14 @@ def _averaged_states(prior: np.ndarray, unitaries: np.ndarray, joints: np.ndarra
     return out
 
 
-def average_state(e: EncodingEnsemble, rho: DensityMatrix) -> DensityMatrix:
+def average_state(e: enc.EncodingEnsemble, rho: DensityMatrix) -> DensityMatrix:
     """Prior-weighted average sum_a pi_a U_a rho U_a^dag."""
     if e.dim != rho.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} != state dim {rho.dim}")
     return DensityMatrix(_averaged_states(e.prior, e.unitaries, rho.matrix[None])[0])
 
 
-def holevo_chi(e: EncodingEnsemble, rho: DensityMatrix) -> float:
+def holevo_chi(e: enc.EncodingEnsemble, rho: DensityMatrix) -> float:
     """Holevo quantity S(avg) - sum_a pi_a S(U_a rho U_a^dag) in bits.
 
     For a noiseless channel the unitaries (checked to 1e-12 by
@@ -378,9 +378,9 @@ def dense_capacity_via_ensemble(
     """
     direction = direction.lower()
     if direction == "a2b":
-        lifted = lift_ensemble(weyl_set(s.dim_a), s.dim_b, side="a")
+        lifted = enc.lift_ensemble(enc.weyl_set(s.dim_a), s.dim_b, side="a")
     elif direction == "b2a":
-        lifted = lift_ensemble(weyl_set(s.dim_b), s.dim_a, side="b")
+        lifted = enc.lift_ensemble(enc.weyl_set(s.dim_b), s.dim_a, side="b")
     else:
         raise ValueError(f"direction must be 'a2b' or 'b2a', got {direction!r}")
     signals = lifted.unitaries @ s.joint.matrix @ lifted.unitaries.conj().transpose(0, 2, 1)

@@ -6,15 +6,18 @@ gradient descent over the isometries that mix the eigendecomposition,
 with Barzilai-Borwein first trial steps, a nonmonotone (Zhang-Hager)
 Armijo test and the best iterate of each restart kept; a restart stops
 after two consecutive iterations that barely change its cost.  Each
-restart starts from its own slot of one seeded draw (restart 0 just off
-the eigendecomposition, whose cost bounds the result), so more restarts
-never raise the value.  For two qubits the Wootters concurrence gives
+restart starts from its own slot of one seeded uniform draw from
+Python's `random` (restart 0 just off the eigendecomposition, whose cost
+bounds the result), so more restarts never raise the value and the module
+never imports numpy.random.  For two qubits the Wootters concurrence gives
 an independent closed-form value E = 2 E_F to validate against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +143,7 @@ def convex_roof(
     m: int | None = None,
     restarts: int = 32,
     tol: float = 1e-6,
-    seed: int = 0,
+    seed: int | None = 0,
 ) -> ConvexRoofResult:
     """Minimize the decomposition cost over m-term convex decompositions.
 
@@ -158,10 +161,13 @@ def convex_roof(
     it passes the Armijo test against the nonmonotone Zhang-Hager reference
     C_k with eta = 0.85 (Zhang & Hager, SIAM J. Optim. 14, 1043 (2004);
     Wen & Yin, Math. Program. 142, 397 (2013)).  Restart r begins at the
-    QR factor of slot r of one seeded complex Gaussian draw, restart 0's
-    slot being the eigendecomposition plus 1e-2 times its Gaussian, because
-    the eigendecomposition is stationary when the spectrum is degenerate;
-    its best iterate starts as the eigendecomposition itself, so the result
+    QR factor of slot r of one seeded draw, whose real and imaginary parts
+    are uniform in [-1, 1) and come from Python's random.Random(seed)
+    (seed None draws fresh entropy; a negative seed raises ValueError and a
+    non-integer one TypeError).  Restart 0's slot is the eigendecomposition
+    plus 1e-2 times its draw, because the eigendecomposition is stationary
+    when the spectrum is degenerate; its best iterate starts as the
+    eigendecomposition itself, so the result
     never exceeds its cost.  Restart r reads only slot r, so its search is
     the same for any restarts > r, and adding restarts never raises the value.
     All restarts descend as one batch, each stopping after two consecutive
@@ -175,6 +181,10 @@ def convex_roof(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if seed is not None:
+        seed = operator.index(seed)  # TypeError on a non-integer such as 1.5
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     d_a, d_b = s.dims
     lam, vecs = np.linalg.eigh(s.joint.matrix)
     keep = lam > _RANK_TOL
@@ -189,8 +199,11 @@ def convex_roof(
     # row k of M = V basis holds the unnormalized |psi~_k> reshaped to (d_a, d_b)
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
     n_restarts = int(restarts)
-    # restart r draws its real, then its imaginary part; one stacked QR orthonormalizes them all
-    g = np.random.default_rng(seed).standard_normal((n_restarts, 2, m, rank))
+    # restart r draws its real, then its imaginary part, each entry 2u - 1 (exact) for u = random();
+    # one stacked QR orthonormalizes them all
+    rng, count = random.Random(seed), n_restarts * 2 * m * rank
+    u = np.fromiter((rng.random() for _ in range(count)), float, count)
+    g = (2.0 * u - 1.0).reshape(n_restarts, 2, m, rank)
     start, eig = g[:, 0] + 1j * g[:, 1], np.eye(m, rank, dtype=complex)
     start[0] = eig + _START_OFFSET * start[0]
     mix, _ = np.linalg.qr(start)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -165,6 +166,12 @@ def test_qr_retraction():
     assert np.allclose(_retract(q), q, atol=1e-12)
 
 
+def uniform_slot(rng: random.Random, m: int, rank: int) -> np.ndarray:
+    """One restart's start slot: an m x rank real part, then an imaginary part, each entry 2 random() - 1."""
+    re, im = (np.array([[2.0 * rng.random() - 1.0 for _ in range(rank)] for _ in range(m)]) for _ in range(2))
+    return re + 1j * im
+
+
 def steepest_descent_roof(s: BipartiteState, restarts: int, seed: int, tol: float = 1e-6) -> float:
     """Reference search: steepest descent with Armijo backtracking from each restart's last accepted step.
 
@@ -179,10 +186,10 @@ def steepest_descent_roof(s: BipartiteState, restarts: int, seed: int, tol: floa
     rank = int(lam.size)
     m = min(rank * rank, 2 * rank)
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     mix = np.zeros((restarts, m, rank), dtype=complex)
     for r in range(restarts):
-        mix[r], _ = np.linalg.qr(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))
+        mix[r], _ = np.linalg.qr(uniform_slot(rng, m, rank))
     mix[0] = np.eye(m, rank)
 
     def evaluate(v):
@@ -255,11 +262,11 @@ def reference_convex_roof(s, m=None, restarts=32, tol=1e-6, seed=0, kernel=refer
         m = min(rank * rank, 2 * rank)
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
     n_restarts = int(restarts)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     mix = np.zeros((n_restarts, m, rank), dtype=complex)
     eig = np.eye(m, rank, dtype=complex)
     for r in range(n_restarts):
-        g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        g = uniform_slot(rng, m, rank)
         mix[r], _ = np.linalg.qr(eig + entanglement._START_OFFSET * g if r == 0 else g)
 
     def evaluate(v):
@@ -458,8 +465,8 @@ class TestConvexRoof:
 
         monkeypatch.setattr(entanglement, "_rows_cost_grad", counted)
         convex_roof(werner_state(0.85), restarts=4, seed=0)
-        # 26 search evaluations and the final decomposition cost; steepest descent from the last accepted step took 49
-        assert len(calls) == 27
+        # 25 search evaluations and the final decomposition cost; steepest descent from the last accepted step took 44
+        assert len(calls) == 26
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("p", [0.5, 0.9])
@@ -505,6 +512,11 @@ class TestConvexRoof:
     def test_non_positive_restarts_rejected(self, restarts):
         with pytest.raises(ValueError):
             convex_roof(werner_state(0.5), restarts=restarts)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed, error):
+        with pytest.raises(error):
+            convex_roof(werner_state(0.5), restarts=2, seed=seed)
 
     def test_restart_count_reported(self):
         res = convex_roof(werner_state(0.5), restarts=5, seed=10)

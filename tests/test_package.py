@@ -43,7 +43,8 @@ EXPORTS = {
 }
 HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
 
-# prints the densecap submodules whose bodies have run; one that has not is still of a ModuleType subclass
+# prints the densecap submodules whose bodies have run (one that has not is still of a ModuleType subclass),
+# and numpy.random once anything has imported it
 LOADED = (
     "import contextlib, io, sys, types\n"
     "import densecap.cli\n"
@@ -51,7 +52,7 @@ LOADED = (
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        assert densecap.cli.main(sys.argv[1:]) == 0\n"
     "loaded = [n[9:] for n, m in sys.modules.items() if n.startswith('densecap.') and type(m) is types.ModuleType]\n"
-    "print(*sorted(loaded))\n"
+    "print(*sorted(loaded + ['numpy.random'] * ('numpy.random' in sys.modules)))\n"
 )
 BASE = ["cli", "errors", "qstate"]
 
@@ -90,12 +91,12 @@ def test_unknown_name_raises_attribute_error():
     [
         ([], BASE),
         (["entanglement", "--state", "werner:0.6", "--restarts", "1"], [*BASE, "entanglement"]),
-        (["simulate", "--trials", "10"], [*BASE, "encodings", "protosim"]),
-        (["simulate", "--protocol", "classical", "--trials", "10"], [*BASE, "encodings", "protosim"]),
-        (["capacity", "--state", "bell"], [*BASE, "capacity", "encodings"]),
-        (["capacity", "--state", "werner", "--sweep", "0:1:0.5"], [*BASE, "capacity", "encodings"]),
+        (["simulate", "--trials", "10"], [*BASE, "encodings", "protosim", "numpy.random"]),
+        (["simulate", "--protocol", "classical", "--trials", "10"], [*BASE, "encodings", "protosim", "numpy.random"]),
+        (["capacity", "--state", "bell"], [*BASE, "capacity"]),
+        (["capacity", "--state", "werner", "--sweep", "0:1:0.5"], [*BASE, "capacity"]),
         (["capacity", "--state", "bell", "--cross-check"], [*BASE, "capacity", "encodings"]),
-        (["verify", "--d", "2", "--samples", "5"], [*BASE, "capacity", "encodings", "sampling"]),
+        (["verify", "--d", "2", "--samples", "5"], [*BASE, "capacity", "encodings", "sampling", "numpy.random"]),
     ],
     ids=["import", "entanglement", "simulate", "simulate-classical", "capacity", "sweep", "cross-check", "verify"],
 )

@@ -5,8 +5,8 @@ Each file under tests/data/golden/<name>.out holds the exact stdout of
 the release before the batched Werner sweep, the `simulate_*` files by
 the release that draws the count table as one multinomial, `verify_d4` by
 the release before the one-pass JSON emitter, the three `entanglement_*`
-files by the release that started every convex-roof restart from its own
-slot of one seeded draw, and the other
+files by the release that drew the convex roof's restart starts from
+Python's random.Random(seed) instead of numpy.random, and the other
 `*_csv` files of single commands and `bloch_z*` by the release before
 the standard library's JSON encoder replaced the hand-written one, so a change to the numerics or the
 formatting of these commands shows here as a byte diff.  The `frame_twirl`

@@ -167,9 +167,9 @@ def convex_roof(
     non-integer one TypeError).  Restart 0's slot is the eigendecomposition
     plus 1e-2 times its draw, because the eigendecomposition is stationary
     when the spectrum is degenerate; its best iterate starts as the
-    eigendecomposition itself, so the result
-    never exceeds its cost.  Restart r reads only slot r, so its search is
-    the same for any restarts > r, and adding restarts never raises the value.
+    eigendecomposition itself, so the result never exceeds its cost.
+    Restart r reads only slot r, so its search is the same for any
+    restarts > r, and adding restarts never raises the value.
     All restarts descend as one batch, each stopping after two consecutive
     iterations that change its cost by less than tol.  A restart that stops
     leaves the batch, so later iterations work only on the live restarts.

@@ -58,7 +58,7 @@ _RANGES = {
     "--samples": (lambda n: 1 <= n <= MAX_SWEEP_POINTS, f"in 1..{MAX_SWEEP_POINTS:,}"),
     "--trials": (lambda n: 1 <= n <= MAX_TRIALS, f"in 1..{MAX_TRIALS:,}"),
     "--restarts": (lambda n: 1 <= n <= MAX_RESTARTS, f"in 1..{MAX_RESTARTS:,}"),
-    "--seed": (lambda n: 0 <= n < 2**128, "in 0..2**128 - 1"),  # the range of a Philox key
+    "--seed": (lambda n: 0 <= n < 2**128, "in 0..2**128 - 1"),  # the documented seed range
     "--tol": (lambda t: math.isfinite(t) and t > 0.0, "finite and > 0"),
 }
 # flags that apply in one mode only, each parsed to None so that a given one shows:

@@ -163,8 +163,8 @@ def convex_roof(
     Wen & Yin, Math. Program. 142, 397 (2013)).  Restart r begins at the
     QR factor of slot r of one seeded draw, whose real and imaginary parts
     are uniform in [-1, 1) and come from Python's random.Random(seed)
-    (seed None draws fresh entropy; a negative seed raises ValueError and a
-    non-integer one TypeError).  Restart 0's slot is the eigendecomposition
+    (seed None draws fresh entropy; a negative seed raises ValueError, and a
+    non-integer seed, restarts or m TypeError).  Restart 0's slot is the eigendecomposition
     plus 1e-2 times its draw, because the eigendecomposition is stationary
     when the spectrum is degenerate; its best iterate starts as the
     eigendecomposition itself, so the result never exceeds its cost.
@@ -179,6 +179,7 @@ def convex_roof(
     The returned value is an upper bound on the convex-roof minimum;
     converged reports whether the winning restart met the stopping rule.
     """
+    restarts = operator.index(restarts)  # TypeError on a non-integer such as 2.5
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed is not None:
@@ -192,18 +193,17 @@ def convex_roof(
     rank = int(lam.size)
     if m is None:
         m = min(rank * rank, 2 * rank)
-    m = int(m)
+    m = operator.index(m)
     if m < rank:
         raise RankTooLarge(f"m = {m} is below rank {rank}")
 
     # row k of M = V basis holds the unnormalized |psi~_k> reshaped to (d_a, d_b)
     basis = (vecs * np.sqrt(lam)).T.reshape(rank, d_a, d_b)
-    n_restarts = int(restarts)
     # restart r draws its real, then its imaginary part, each entry 2u - 1 (exact) for u = random();
     # one stacked QR orthonormalizes them all
-    rng, count = random.Random(seed), n_restarts * 2 * m * rank
+    rng, count = random.Random(seed), restarts * 2 * m * rank
     u = np.fromiter((rng.random() for _ in range(count)), float, count)
-    g = (2.0 * u - 1.0).reshape(n_restarts, 2, m, rank)
+    g = (2.0 * u - 1.0).reshape(restarts, 2, m, rank)
     start, eig = g[:, 0] + 1j * g[:, 1], np.eye(m, rank, dtype=complex)
     start[0] = eig + _START_OFFSET * start[0]
     mix, _ = np.linalg.qr(start)
@@ -221,12 +221,12 @@ def convex_roof(
     best, best_cost = mix.copy(), cost.copy()
     best[0], best_cost[0] = eig, evaluate(eig[None])[0][0]
     # the search state of the live restarts only, in index order; live maps it to restart indices
-    live, v = np.arange(n_restarts), mix
+    live, v = np.arange(restarts), mix
     # Zhang-Hager reference C_k, a weighted mean of past costs, and its weight Q_k, the same for every restart
-    ref, weight, step = cost.copy(), 1.0, np.ones(n_restarts)
+    ref, weight, step = cost.copy(), 1.0, np.ones(restarts)
     # s = 0 on the first iteration, so its step falls back to 1
     prev, prev_xi = mix, np.zeros_like(mix)
-    quiet = np.zeros(n_restarts, dtype=int)
+    quiet = np.zeros(restarts, dtype=int)
     for it in range(_MAX_ITERATIONS):
         vg = v.conj().transpose(0, 2, 1) @ grad
         xi = grad - v @ ((vg + vg.conj().transpose(0, 2, 1)) / 2.0)
@@ -280,4 +280,4 @@ def convex_roof(
     nonzero = weights > 1e-12
     flat, weights = flat[nonzero], weights[nonzero]
     dec = Decomposition(weights / weights.sum(), flat / np.sqrt(weights)[:, None], s.dims)
-    return ConvexRoofResult(decomposition_cost(dec), dec, n_restarts, converged)
+    return ConvexRoofResult(decomposition_cost(dec), dec, restarts, converged)

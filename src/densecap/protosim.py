@@ -8,14 +8,21 @@ transmitted bit and optionally undone with the receiver's key bit.
 
 The (message, outcome) count table of `trials` independent trials is
 exactly Multinomial(trials, p) over the joint law p, so it is drawn as
-one multinomial from a legacy `RandomState` over the Philox generator
-keyed by the caller's seed: time and memory do not depend on `trials`,
-and a cell of probability 0 never enters the draw.
+one multinomial: conditional binomials over the nonzero cells in cell
+order, from Python's random.Random(seed), with the last nonzero cell
+taking the remaining trials.  Time and memory do not depend on `trials`,
+a cell of probability 0 never enters the draw, and numpy.random is never
+imported.  The runners take an integer trials >= 1 and an integer seed in
+0..2**128 - 1, the documented seed range, and reject anything else before
+the draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,16 +105,79 @@ class SingleParticleDecoder:
     basis: str = "z"
 
 
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) variate: Devroye's geometric method below n p = 10, else Hoermann's BTRS.
+
+    BTRS is transformed rejection with squeeze (Hoermann, J. Stat. Comput.
+    Simul. 46, 101 (1993)), the algorithm of CPython 3.12's
+    random.binomialvariate; p > 1/2 draws the complement.  A random() of
+    exactly 0.0 never raises: the geometric method reads log(1 - u), BTRS
+    rejects u = 0 (its hat is unbounded there) and accepts v = 0.
+    """
+    if n == 0 or p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        # successes are the geometric waiting times, floor(log(1 - u) / log(1 - p)) failures each, that fit in n
+        c, x, y = math.log1p(-p), 0, 0
+        while True:
+            g = math.log(1.0 - rng.random()) / c
+            if g >= n - y:
+                return x
+            x, y = x + 1, y + math.floor(g) + 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c, vr = n * p + 0.5, 0.92 - 4.2 / b
+    alpha, lpq, m = (2.83 + 5.1 / b) * spq, math.log(p / (1.0 - p)), math.floor((n + 1) * p)
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = rng.random()
+        if us >= 0.07 and v <= vr:
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if v == 0.0 or math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
 def _sample_counts(p: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """Counts of `trials` i.i.d. draws from the cell law p, as one Multinomial(trials, p) draw.
 
-    NEP 19 freezes RandomState's streams, so a seed gives the same counts
-    on every numpy release; only the nonzero cells enter the draw.
+    Each nonzero cell but the last, in cell order, takes Binomial(left,
+    p_i / tail_i) of the `left` trials the earlier cells did not take,
+    where tail_i sums the nonzero cells from i on (accumulated from the
+    end, so p_i / tail_i <= 1); the last nonzero cell takes the rest.
+    The stream is random.Random(seed), which Python keeps across releases.
     """
-    nz = p > 0
-    counts = np.zeros(p.size, dtype=np.int64)
-    counts[nz] = np.random.RandomState(np.random.Philox(key=seed)).multinomial(trials, p[nz] / p[nz].sum())
-    return counts
+    w = p.tolist()
+    cells = [i for i, x in enumerate(w) if x > 0.0]
+    tails = list(itertools.accumulate(w[i] for i in reversed(cells)))[::-1]
+    rng, left, counts = random.Random(seed), trials, [0] * len(w)
+    for i, tail in zip(cells[:-1], tails):
+        counts[i] = k = _binomial(rng, left, w[i] / tail)
+        left -= k
+    counts[cells[-1]] = left
+    return np.array(counts, dtype=np.int64)
+
+
+def _checked_run(trials: int, seed: int) -> tuple[int, int]:
+    """Trials and seed as Python ints: TypeError on a non-integer such as 2.5, else InvalidTrials or ValueError."""
+    trials, seed = operator.index(trials), operator.index(seed)
+    if trials < 1:
+        raise InvalidTrials(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in 0..2**128 - 1, got {seed}")
+    return trials, seed
 
 
 def empirical_mutual_information(counts: np.ndarray) -> float:
@@ -173,8 +243,7 @@ def run_quantum_dense(
     acts on subsystem A and the decoder's projective outcome follows the
     Born probabilities.
     """
-    if trials < 1:
-        raise InvalidTrials(f"trials must be >= 1, got {trials}")
+    trials, seed = _checked_run(trials, seed)
     if e.dim != s.dim_a:
         raise DimensionMismatch(f"ensemble dim {e.dim} does not act on sender dim {s.dim_a}")
     q = _outcome_distributions(s, e, decoder)
@@ -194,8 +263,7 @@ def run_classical_dense(
     received bit.  The counts of the (j, k) cells are one multinomial
     draw, folded into the (message, decoded) table.
     """
-    if trials < 1:
-        raise InvalidTrials(f"trials must be >= 1, got {trials}")
+    trials, seed = _checked_run(trials, seed)
     # cells (j, k), j = 2 j_A + j_B, each of probability p_j / 2
     p = np.repeat(s.probabilities.reshape(-1) / 2, 2)
     j, k = np.arange(4)[:, None], np.arange(2)

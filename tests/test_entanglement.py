@@ -518,6 +518,12 @@ class TestConvexRoof:
         with pytest.raises(error):
             convex_roof(werner_state(0.5), restarts=2, seed=seed)
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": 2.5}, {"restarts": 2.0}, {"m": 8.7}, {"m": 8.0}])
+    def test_non_integer_restarts_or_m_rejected(self, kwargs):
+        # truncating them ran 2 restarts for 2.5 and an 8-term decomposition for 8.7
+        with pytest.raises(TypeError):
+            convex_roof(werner_state(0.85), **{"restarts": 2, **kwargs})
+
     def test_restart_count_reported(self):
         res = convex_roof(werner_state(0.5), restarts=5, seed=10)
         assert res.restarts_used == 5

@@ -3,7 +3,8 @@
 Each file under tests/data/golden/<name>.out holds the exact stdout of
 `densecap <argv>` run from that directory.  The files were written by
 the release before the batched Werner sweep, the `simulate_*` files by
-the release that draws the count table as one multinomial, `verify_d4` by
+the release that draws the count table as conditional binomials from
+Python's random.Random(seed) instead of numpy.random, `verify_d4` by
 the release before the one-pass JSON emitter, the three `entanglement_*`
 files by the release that drew the convex roof's restart starts from
 Python's random.Random(seed) instead of numpy.random, and the other

@@ -91,8 +91,8 @@ def test_unknown_name_raises_attribute_error():
     [
         ([], BASE),
         (["entanglement", "--state", "werner:0.6", "--restarts", "1"], [*BASE, "entanglement"]),
-        (["simulate", "--trials", "10"], [*BASE, "encodings", "protosim", "numpy.random"]),
-        (["simulate", "--protocol", "classical", "--trials", "10"], [*BASE, "encodings", "protosim", "numpy.random"]),
+        (["simulate", "--trials", "10"], [*BASE, "encodings", "protosim"]),
+        (["simulate", "--protocol", "classical", "--trials", "10"], [*BASE, "encodings", "protosim"]),
         (["capacity", "--state", "bell"], [*BASE, "capacity"]),
         (["capacity", "--state", "werner", "--sweep", "0:1:0.5"], [*BASE, "capacity"]),
         (["capacity", "--state", "bell", "--cross-check"], [*BASE, "capacity", "encodings"]),

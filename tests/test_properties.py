@@ -145,7 +145,7 @@ ENSEMBLES = [
     "@wide-ensemble", "@nested-prior", "@deep-nesting",
 ]
 COMMON = {
-    # 2**128 is the first seed that is not a Philox key
+    # 2**128 is the first seed outside the documented seed range
     "--seed": ["-1", "abc", "nan", "0", "3", "340282366920938463463374607431768211456"],
     "--format": ["json", "csv", "xml"],
     "--out": ["@dir"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from unittest import mock
@@ -267,10 +268,21 @@ def fold_classical(cells, use_key):
 
 
 def reference_draw(p, trials, seed):
-    """One multinomial draw over the nonzero cells of p."""
-    nz = p > 0
-    cells = np.zeros(p.size, dtype=np.int64)
-    cells[nz] = np.random.RandomState(np.random.Philox(key=seed)).multinomial(trials, p[nz] / p[nz].sum())
+    """One multinomial draw over the nonzero cells of p, as conditional binomials from random.Random(seed).
+
+    Cell i, in cell order, takes Binomial(left, p_i / tail_i), tail_i being the sum of the nonzero
+    cells from i on added from the last one back; the last nonzero cell takes what is left.
+    """
+    nonzero = [i for i in range(p.size) if p[i] > 0]
+    tail, mass = {}, 0.0
+    for i in reversed(nonzero):
+        mass = float(p[i]) + mass
+        tail[i] = mass
+    rng, left, cells = random.Random(seed), trials, np.zeros(p.size, dtype=np.int64)
+    for i in nonzero[:-1]:
+        k = protosim._binomial(rng, left, float(p[i]) / tail[i])
+        cells[i], left = k, left - k
+    cells[nonzero[-1]] = left
     return cells
 
 
@@ -429,3 +441,89 @@ def test_random_priors_equal_reference_draw(d, weights, seed, trials):
     counts, p = drawn(run_quantum_dense, s, e, decoder, trials, seed)
     assert np.allclose(p, quantum_law(s, e, decoder), rtol=0, atol=1e-15)
     assert np.array_equal(counts.ravel(), reference_draw(p, trials, seed))
+
+
+def binomial_chi_square(n, p, draws, seed):
+    """Pearson statistic and degrees of freedom of `draws` variates against the math.comb pmf, cells pooled to >= 5 expected."""
+    rng, seen = random.Random(seed), {}
+    for _ in range(draws):
+        k = protosim._binomial(rng, n, p)
+        seen[k] = seen.get(k, 0) + 1
+    stat, cells, observed, expected = 0.0, 0, 0, 0.0
+    for k in range(n + 1):
+        observed += seen.get(k, 0)
+        expected += draws * math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        if expected >= 5 or k == n:
+            stat, cells, observed, expected = stat + (observed - expected) ** 2 / expected, cells + 1, 0, 0.0
+    assert sum(seen.values()) == draws and min(seen) >= 0 and max(seen) <= n
+    return stat, cells - 1
+
+
+class TestBinomial:
+    """The count table's Binomial(n, p) sampler: Devroye's geometric method below n p = 10, BTRS above."""
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(5, 0.3), (30, 0.2), (1000, 0.002), (40, 0.5), (100, 0.37), (1000, 0.02), (200, 0.9), (12, 0.97)],
+        ids=["geometric", "geometric-30", "geometric-sparse", "btrs-half", "btrs", "btrs-sparse", "btrs-complement",
+             "geometric-complement"],
+    )
+    def test_chi_square_against_pmf(self, n, p):
+        stat, dof = binomial_chi_square(n, p, 40_000, 17)
+        # the statistic is chi-square with dof degrees of freedom: mean dof, sd sqrt(2 dof)
+        assert stat < dof + 6 * math.sqrt(2 * dof)
+
+    def test_edges(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert protosim._binomial(rng, 0, 0.4) == 0
+        assert protosim._binomial(rng, 9, 0.0) == 0
+        assert protosim._binomial(rng, 9, 1.0) == 9
+        assert rng.getstate() == state  # the edges draw nothing
+
+    @pytest.mark.parametrize("p", [3e-10, 0.3, 0.5, 1 - 3e-10], ids=["geometric", "btrs", "btrs-half", "complement"])
+    def test_max_trials(self, p):
+        n = MAX_TRIALS
+        for seed in range(5):
+            k = protosim._binomial(random.Random(seed), n, p)
+            assert type(k) is int and 0 <= k <= n
+            assert abs(k - n * p) <= 6 * math.sqrt(n * p * (1 - p))
+
+    @pytest.mark.parametrize("n, p, head", [(5, 0.3, [0.0] * 6), (1000, 0.5, [0.0, 0.95, 0.0])], ids=["geometric", "btrs"])
+    def test_random_of_zero_does_not_raise(self, n, p, head):
+        # geometric: log(1 - 0.0) is 0, so each of the n successes waits 0 failures; BTRS: u = 0.0 is rejected,
+        # u = 0.95 lands in range outside the squeeze, and v = 0.0 accepts
+        def zeros_first():
+            return mock.patch.object(random.Random, "random", side_effect=itertools.chain(head, iter(random.Random(3).random, None)))
+
+        with zeros_first() as u:
+            k = protosim._binomial(random.Random(0), n, p)
+        assert u.call_count == len(head) and 0 <= k <= n
+        with zeros_first():
+            counts = protosim._sample_counts(np.array([p, 0.0, 1 - p]), n, 0)
+        assert counts[1] == 0 and counts.sum() == n
+
+
+class TestSeedAndTrials:
+    RUNS = {
+        "quantum": lambda trials, seed: run_quantum_dense(bell_state(), CANONICAL, BellDecoder(), trials, seed),
+        "classical": lambda trials, seed: run_classical_dense(SKEWED_JOINT, True, trials, seed),
+    }
+
+    @pytest.mark.parametrize(
+        "trials, seed, error",
+        [(10, -1, ValueError), (10, 2**128, ValueError), (10, 1.5, TypeError), (2.5, 0, TypeError), (0, 0, InvalidTrials)],
+        ids=["seed-negative", "seed-2**128", "seed-1.5", "trials-2.5", "trials-0"],
+    )
+    @pytest.mark.parametrize("protocol", ["quantum", "classical"])
+    def test_rejected_before_the_draw(self, protocol, trials, seed, error):
+        with mock.patch.object(protosim, "_sample_counts") as draw, pytest.raises(error):
+            self.RUNS[protocol](trials, seed)
+        draw.assert_not_called()
+
+    @pytest.mark.parametrize("protocol", ["quantum", "classical"])
+    def test_integer_likes_become_ints(self, protocol):
+        trace = self.RUNS[protocol](np.int64(10), np.uint64(2**64 - 1))
+        assert type(trace.trials) is int and type(trace.seed) is int
+        assert trace.to_json()["seed"] == 2**64 - 1
+        assert self.RUNS[protocol](10, 2**128 - 1).joint_counts.sum() == 10

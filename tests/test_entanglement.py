@@ -520,7 +520,6 @@ class TestConvexRoof:
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 2.5}, {"restarts": 2.0}, {"m": 8.7}, {"m": 8.0}])
     def test_non_integer_restarts_or_m_rejected(self, kwargs):
-        # truncating them ran 2 restarts for 2.5 and an 8-term decomposition for 8.7
         with pytest.raises(TypeError):
             convex_roof(werner_state(0.85), **{"restarts": 2, **kwargs})
 
